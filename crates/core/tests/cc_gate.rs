@@ -81,3 +81,46 @@ fn cc_grid_lossy_cells_are_conformant_per_variant() {
         );
     }
 }
+
+/// Regression: a partial ACK that leaves only a short tail segment
+/// outstanding must not make the hole fill carry never-sent bytes, which
+/// the next output sent again at the same instant (`rexmit-justified`).
+/// These WAN first-time NewReno cells at Bernoulli loss reached that
+/// path with these impairment seeds.
+#[test]
+fn tail_hole_fill_resends_only_sent_bytes() {
+    use httpipe_core::env::NetEnv;
+    use httpipe_core::experiments::robustness::{LossShape, RobustnessPoint};
+    use httpipe_core::harness::Scenario;
+    for (setup, loss_pct, seed) in [
+        (ProtocolSetup::Http11, 5.0, 11_915_124_368_882_100_592),
+        (
+            ProtocolSetup::Http11Pipelined,
+            5.0,
+            6_253_233_183_455_012_284,
+        ),
+        (
+            ProtocolSetup::Http11Pipelined,
+            2.0,
+            13_683_333_705_444_358_034,
+        ),
+    ] {
+        let point = RobustnessPoint {
+            env: NetEnv::Wan,
+            setup,
+            scenario: Scenario::FirstTime,
+            loss_pct,
+            shape: LossShape::Uniform,
+            cc: CcVariant::NewReno,
+        };
+        let mut spec = point.spec();
+        spec.impair = Some(point.impairment().with_seed(seed));
+        let (out, report) = run_spec_checked(spec);
+        assert!(
+            report.is_clean(),
+            "{setup:?} at {loss_pct}% (seed {seed}):\n{}",
+            report.summary()
+        );
+        assert_eq!(out.cell.fetched, 43, "{setup:?} at {loss_pct}%");
+    }
+}

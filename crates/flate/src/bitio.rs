@@ -93,6 +93,24 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// A reader positioned `bit_pos` bits into `data` — where an earlier
+    /// reader over a shorter prefix of the same stream stopped. A
+    /// position past the end reads as end of input.
+    pub fn at_bit(data: &'a [u8], bit_pos: usize) -> Self {
+        let mut r = BitReader::new(data);
+        r.pos = bit_pos / 8;
+        r.fill();
+        let skip = ((bit_pos % 8) as u32).min(r.bit_count);
+        r.bit_buf >>= skip;
+        r.bit_count -= skip;
+        r
+    }
+
+    /// Bits consumed so far, counted from the start of the data.
+    pub fn bit_pos(&self) -> usize {
+        self.pos * 8 - self.bit_count as usize
+    }
+
     fn fill(&mut self) {
         while self.bit_count <= 56 && self.pos < self.data.len() {
             self.bit_buf |= (self.data[self.pos] as u64) << self.bit_count;
@@ -157,6 +175,20 @@ pub fn reverse_bits(v: u32, len: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resumes_at_any_bit_position() {
+        let data = [0b1010_1100u8, 0b0101_0011, 0xFF];
+        let mut whole = BitReader::new(&data);
+        for pos in 0..24 {
+            assert_eq!(whole.bit_pos(), pos);
+            let mut resumed = BitReader::at_bit(&data, pos);
+            assert_eq!(resumed.bit_pos(), pos);
+            assert_eq!(resumed.read_bit(), whole.read_bit());
+        }
+        assert_eq!(BitReader::at_bit(&data, 24).read_bit(), Err(UnexpectedEof));
+        assert_eq!(BitReader::at_bit(&data, 29).read_bit(), Err(UnexpectedEof));
+    }
 
     #[test]
     fn roundtrip_mixed_widths() {

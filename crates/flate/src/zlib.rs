@@ -4,7 +4,7 @@
 
 use crate::checksum::adler32;
 use crate::deflate::{deflate, Level};
-use crate::inflate::{inflate, InflateError};
+use crate::inflate::{inflate, InflateError, Inflater};
 
 /// Errors specific to the zlib wrapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,20 +64,52 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 /// Decompress as much of a (possibly truncated) zlib stream as possible,
 /// skipping the trailer check — for streaming consumers that inspect data
 /// before the stream completes. Header errors still surface once two bytes
-/// are available.
+/// are available. A [`Decompressor`] does the same over a growing stream
+/// without decoding any byte twice.
 pub fn decompress_prefix(data: &[u8]) -> Result<Vec<u8>, ZlibError> {
-    if data.len() < 3 {
-        return Ok(Vec::new());
+    Decompressor::new().feed(data).map(<[u8]>::to_vec)
+}
+
+/// [`decompress_prefix`] that resumes: each [`Decompressor::feed`] takes
+/// a longer prefix of the same zlib stream and inflates only what it
+/// adds, through a resumable [`Inflater`].
+#[derive(Debug, Default)]
+pub struct Decompressor {
+    inflater: Inflater,
+}
+
+impl Decompressor {
+    /// A decompressor at the start of a stream.
+    pub fn new() -> Decompressor {
+        Decompressor::default()
     }
-    let cmf = data[0];
-    let flg = data[1];
+
+    /// Decode what `data` adds beyond the previous feed and return all
+    /// output so far: exactly `decompress_prefix(data)`. Errors are
+    /// sticky.
+    pub fn feed(&mut self, data: &[u8]) -> Result<&[u8], ZlibError> {
+        if data.len() < 3 {
+            return Ok(&[]);
+        }
+        check_header(data[0], data[1])?;
+        self.inflater.feed(&data[2..]).map_err(ZlibError::Deflate)
+    }
+
+    /// Output decoded so far.
+    pub fn output(&self) -> &[u8] {
+        self.inflater.output()
+    }
+}
+
+/// Validate CMF/FLG: deflate with at most a 32K window, and FCHECK.
+fn check_header(cmf: u8, flg: u8) -> Result<(), ZlibError> {
     if cmf & 0x0F != 8 || (cmf >> 4) > 7 {
         return Err(ZlibError::BadHeader);
     }
     if ((cmf as u16) << 8 | flg as u16) % 31 != 0 {
         return Err(ZlibError::BadHeaderCheck);
     }
-    crate::inflate::inflate_prefix(&data[2..]).map_err(ZlibError::Deflate)
+    Ok(())
 }
 
 /// Decompress a zlib stream.
@@ -85,14 +117,8 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, ZlibError> {
     if data.len() < 6 {
         return Err(ZlibError::Truncated);
     }
-    let cmf = data[0];
     let flg = data[1];
-    if cmf & 0x0F != 8 || (cmf >> 4) > 7 {
-        return Err(ZlibError::BadHeader);
-    }
-    if ((cmf as u16) << 8 | flg as u16) % 31 != 0 {
-        return Err(ZlibError::BadHeaderCheck);
-    }
+    check_header(data[0], flg)?;
     if flg & 0x20 != 0 {
         return Err(ZlibError::NeedsDictionary);
     }

@@ -31,6 +31,7 @@ use httpwire::validators::Validators;
 use httpwire::{format_http_date, ContentCoding, ETag, Method, Request, Response, ResponseParser};
 use netsim::sim::{App, AppEvent, Ctx};
 use netsim::{FlushCause, SimTime, SocketId, SpanEvent};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 mod mux;
@@ -81,6 +82,12 @@ pub struct ClientStats {
     pub cancelled_pushes: u64,
     /// Wasted wire bytes: push DATA that arrived after we cancelled.
     pub cancelled_push_bytes: u64,
+    /// HTML bytes handed to the `<img src>` scanner: streaming
+    /// discovery, the completed start page, and its cache entry.
+    pub html_bytes_scanned: u64,
+    /// HTML bytes produced by inflating deflate-coded bodies, streaming
+    /// and complete.
+    pub html_bytes_inflated: u64,
     /// All work completed.
     pub done: bool,
 }
@@ -117,7 +124,60 @@ enum CpuOp {
         job: Job,
         /// The parsed response.
         resp: Response,
+        /// Streaming discovery's scan checkpoint into the decoded body.
+        scanned: usize,
     },
+}
+
+/// Streaming-discovery progress through one response body: how far its
+/// HTML has been scanned and, for a deflate-coded body, the decoder that
+/// has inflated the compressed prefix so far. Both resume when more of
+/// the body arrives, so each byte is inflated once and scanned about
+/// once. A new response starts from a fresh `Discovery`.
+#[derive(Debug, Default)]
+struct Discovery {
+    /// Scan checkpoint: a byte offset into the decoded HTML.
+    scanned: usize,
+    /// Created by the first deflate-coded prefix.
+    inflater: Option<flate::zlib::Decompressor>,
+}
+
+impl Discovery {
+    /// Inflate and scan what `body`, a longer prefix of the same response
+    /// body than last time, adds; queue fetches for new image sources and
+    /// report whether there were any. Once a deflate body fails to
+    /// decode nothing more is visible, and the complete body is rescanned
+    /// from the start.
+    fn resume(
+        &mut self,
+        deflated: bool,
+        body: &[u8],
+        discovered: &mut BTreeSet<String>,
+        pending: &mut VecDeque<Job>,
+        stats: &mut ClientStats,
+    ) -> bool {
+        let html = if deflated {
+            let inflater = self
+                .inflater
+                .get_or_insert_with(flate::zlib::Decompressor::new);
+            let before = inflater.output().len();
+            match inflater.feed(body) {
+                Ok(html) => {
+                    stats.html_bytes_inflated += (html.len() - before) as u64;
+                    html
+                }
+                Err(_) => {
+                    self.scanned = 0;
+                    return false;
+                }
+            }
+        } else {
+            body
+        };
+        let queued = pending.len();
+        self.scanned = HttpClient::discover_sources(discovered, pending, stats, html, self.scanned);
+        pending.len() > queued
+    }
 }
 
 #[derive(Debug)]
@@ -139,6 +199,8 @@ struct Conn {
     /// The current front-of-line response has already produced a
     /// `FirstByte` span mark.
     first_byte_seen: bool,
+    /// Streaming discovery through the front-of-line response.
+    discovery: Discovery,
 }
 
 impl Conn {
@@ -153,7 +215,14 @@ impl Conn {
             finished: false,
             unwritten: 0,
             first_byte_seen: false,
+            discovery: Discovery::default(),
         }
+    }
+
+    /// The front-of-line response is complete: hand over its scan
+    /// checkpoint and start the next response's discovery afresh.
+    fn finish_discovery(&mut self) -> usize {
+        std::mem::take(&mut self.discovery).scanned
     }
 }
 
@@ -613,23 +682,26 @@ impl HttpClient {
     // Response handling
     // ------------------------------------------------------------------
 
-    /// Decode a body according to its Content-Encoding.
-    fn decode_body(resp: &Response) -> (Vec<u8>, bool) {
-        match coding::declared_coding(&resp.headers) {
-            Ok(ContentCoding::Deflate) => (
-                coding::decode(ContentCoding::Deflate, &resp.body)
-                    .unwrap_or_else(|_| resp.body.to_vec()),
-                true,
-            ),
-            _ => (resp.body.to_vec(), false),
-        }
-    }
-
     /// Complete processing of a response (runs after the CPU proc delay).
-    fn handle_response(&mut self, ctx: &mut Ctx<'_>, job: Job, resp: Response) {
+    /// `scanned` is streaming discovery's checkpoint into the decoded body.
+    fn handle_response(&mut self, ctx: &mut Ctx<'_>, job: Job, resp: Response, scanned: usize) {
         // A completed response proves the path works again.
         self.cautious = false;
-        let (body, deflated) = Self::decode_body(&resp);
+        // Decode according to the Content-Encoding. A deflate body that
+        // fails to decode is kept as it arrived, and the checkpoint into
+        // its decoded prefix no longer applies.
+        let deflated = matches!(
+            coding::declared_coding(&resp.headers),
+            Ok(ContentCoding::Deflate)
+        );
+        let (body, scanned) = if !deflated {
+            (Cow::Borrowed(&resp.body[..]), scanned)
+        } else if let Ok(body) = coding::decode(ContentCoding::Deflate, &resp.body) {
+            self.stats.html_bytes_inflated += body.len() as u64;
+            (Cow::Owned(body), scanned)
+        } else {
+            (Cow::Borrowed(&resp.body[..]), 0)
+        };
         let validated = resp.status.0 == 304;
         self.stats.fetched.push(FetchRecord {
             path: job.path.clone(),
@@ -654,6 +726,7 @@ impl HttpClient {
                 .unwrap_or("application/octet-stream")
                 .to_string();
             let embedded = if self.is_start_page(&job.path) {
+                self.stats.html_bytes_scanned += body.len() as u64;
                 image_sources(&body)
             } else {
                 Vec::new()
@@ -672,9 +745,16 @@ impl HttpClient {
             );
         }
 
-        // Browse discovery: the HTML has fully arrived.
+        // Browse discovery: the HTML has fully arrived. Scan the rest of
+        // it from where streaming discovery stopped.
         if self.is_start_page(&job.path) && matches!(self.workload, Workload::Browse { .. }) {
-            self.discover_from_html(&body);
+            Self::discover_sources(
+                &mut self.discovered,
+                &mut self.pending,
+                &mut self.stats,
+                &body,
+                scanned,
+            );
             self.discovery_complete = true;
         }
 
@@ -689,26 +769,23 @@ impl HttpClient {
         }
     }
 
-    /// Queue fetches for newly discovered image references.
-    fn discover_from_html(&mut self, partial_html: &[u8]) {
-        Self::discover_sources(&mut self.discovered, &mut self.pending, partial_html);
-    }
-
-    /// Scan `html_bytes` for `<img src>` references and queue each one
-    /// not seen before. Takes the two fields it mutates (not `&mut
-    /// self`) so streaming discovery can run it while the connection's
-    /// parse buffer is still borrowed — that's what lets the hot path
-    /// scan the received prefix in place instead of copying it. Only a
-    /// genuinely new source allocates (its path `String`, at most once
-    /// per image on the page); a re-scan that finds nothing new is
-    /// allocation-free.
+    /// Scan `html_bytes` for `<img src>` references from checkpoint
+    /// `from` on, queue each one not seen before, and return the next
+    /// checkpoint. Takes the fields it mutates (not `&mut self`) so
+    /// streaming discovery can run it while the connection's parse
+    /// buffer is still borrowed — that's what lets the hot path scan the
+    /// received body in place instead of copying it. Only a genuinely
+    /// new source allocates (its path `String`, at most once per image
+    /// on the page).
     fn discover_sources(
         discovered: &mut BTreeSet<String>,
         pending: &mut VecDeque<Job>,
+        stats: &mut ClientStats,
         html_bytes: &[u8],
-    ) {
-        let text = String::from_utf8_lossy(html_bytes);
-        webcontent::html::for_each_inline_image_source(&text, |src| {
+        from: usize,
+    ) -> usize {
+        stats.html_bytes_scanned += (html_bytes.len() - from) as u64;
+        webcontent::html::scan_inline_image_bytes(html_bytes, from, |src| {
             if !discovered.contains(src) {
                 discovered.insert(src.to_string());
                 pending.push_back(Job {
@@ -717,11 +794,12 @@ impl HttpClient {
                     conditionals: Vec::new(),
                 });
             }
-        });
+        })
     }
 
     /// Streaming discovery: look at the in-progress HTML response and
-    /// issue requests for images already visible.
+    /// issue requests for images already visible. Only what arrived since
+    /// the last call is inflated, and scanning resumes at the checkpoint.
     fn streaming_discovery(&mut self, ctx: &mut Ctx<'_>, sock: SocketId) {
         if self.discovery_complete || !matches!(self.workload, Workload::Browse { .. }) {
             return;
@@ -746,18 +824,13 @@ impl HttpClient {
             return;
         };
         let deflated = matches!(coding::declared_coding(headers), Ok(ContentCoding::Deflate));
-        // A compressed prefix must be inflated into scratch, but a plain
-        // one is scanned in place — no per-chunk copy of the prefix.
-        let decompressed;
-        let visible: &[u8] = if deflated {
-            decompressed = flate::zlib::decompress_prefix(partial).unwrap_or_default();
-            &decompressed
-        } else {
-            partial
-        };
-        let before = self.pending.len();
-        Self::discover_sources(&mut self.discovered, &mut self.pending, visible);
-        if self.pending.len() > before {
+        if conn.discovery.resume(
+            deflated,
+            partial,
+            &mut self.discovered,
+            &mut self.pending,
+            &mut self.stats,
+        ) {
             self.pump(ctx);
         }
     }
@@ -773,10 +846,11 @@ impl HttpClient {
         // Parse anything already buffered first (data that survived),
         // scheduling normal response processing for it.
         while let Ok(Some(resp)) = conn.parser.next() {
+            let scanned = conn.finish_discovery();
             if let Some(job) = conn.sent.pop_front() {
                 self.schedule_cpu(
                     ctx,
-                    CpuOp::Proc { job, resp },
+                    CpuOp::Proc { job, resp, scanned },
                     self.config.response_proc_time,
                 );
             }
@@ -808,6 +882,7 @@ impl HttpClient {
             };
             match conn.parser.next() {
                 Ok(Some(resp)) => {
+                    let scanned = conn.finish_discovery();
                     let Some(job) = conn.sent.pop_front() else {
                         break; // unsolicited response; drop
                     };
@@ -827,7 +902,7 @@ impl HttpClient {
                     }
                     self.schedule_cpu(
                         ctx,
-                        CpuOp::Proc { job, resp },
+                        CpuOp::Proc { job, resp, scanned },
                         self.config.response_proc_time,
                     );
                 }
@@ -906,8 +981,8 @@ impl App for HttpClient {
                         self.pump(ctx);
                     }
                 }
-                Some(CpuOp::Proc { job, resp }) => {
-                    self.handle_response(ctx, job, resp);
+                Some(CpuOp::Proc { job, resp, scanned }) => {
+                    self.handle_response(ctx, job, resp, scanned);
                 }
                 None => {}
             },
@@ -933,10 +1008,13 @@ impl App for HttpClient {
                     .conns
                     .get_mut(&s)
                     .and_then(|conn| match conn.parser.finish() {
-                        Ok(Some(resp)) => conn.sent.pop_front().map(|job| (job, resp)),
+                        Ok(Some(resp)) => {
+                            let scanned = conn.finish_discovery();
+                            conn.sent.pop_front().map(|job| (job, resp, scanned))
+                        }
                         _ => None,
                     });
-                if let Some((job, resp)) = flushed {
+                if let Some((job, resp, scanned)) = flushed {
                     if ctx.probe_enabled() {
                         ctx.probe_span(
                             s,
@@ -947,7 +1025,7 @@ impl App for HttpClient {
                     }
                     self.schedule_cpu(
                         ctx,
-                        CpuOp::Proc { job, resp },
+                        CpuOp::Proc { job, resp, scanned },
                         self.config.response_proc_time,
                     );
                 }

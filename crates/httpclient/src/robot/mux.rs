@@ -9,14 +9,16 @@
 
 use super::*;
 use httpmux::{MuxConn, MuxEvent, ERR_CANCEL};
-use httpwire::{StatusCode, Version};
+use httpwire::{HeaderMap, StatusCode, Version};
 
 /// Per-stream response under assembly.
 #[derive(Debug, Default)]
 struct StreamResponse {
     status: u16,
-    headers: Vec<(String, String)>,
+    headers: HeaderMap,
     body: Vec<u8>,
+    /// Streaming discovery through this body (start page only).
+    discovery: Discovery,
 }
 
 /// State of the single multiplexed connection.
@@ -177,7 +179,7 @@ impl HttpClient {
                             if name == ":status" {
                                 entry.status = value.parse().unwrap_or(200);
                             } else if !name.starts_with(':') {
-                                entry.headers.push((name, value));
+                                entry.headers.append(&name, value);
                             }
                         }
                     }
@@ -296,10 +298,9 @@ impl HttpClient {
             self.stats.pushed_bytes += assembled.body.len() as u64;
         }
         let mut resp = Response::new(Version::Http11, StatusCode(assembled.status));
-        for (name, value) in &assembled.headers {
-            resp.headers.append(name, value.clone());
-        }
+        resp.headers = assembled.headers;
         resp.body = bytes::Bytes::pooled_copy_from_slice(&assembled.body);
+        let scanned = assembled.discovery.scanned;
         if ctx.probe_enabled() {
             ctx.probe_span(
                 sock,
@@ -310,7 +311,7 @@ impl HttpClient {
         }
         self.schedule_cpu(
             ctx,
-            CpuOp::Proc { job, resp },
+            CpuOp::Proc { job, resp, scanned },
             self.config.response_proc_time,
         );
     }
@@ -321,22 +322,28 @@ impl HttpClient {
         if self.discovery_complete || !matches!(self.workload, Workload::Browse { .. }) {
             return;
         }
-        let before = self.pending.len();
-        {
-            let Some(m) = self.mux.as_ref() else {
-                return;
-            };
-            if m.html_stream != Some(stream) {
-                return;
-            }
-            let Some(r) = m.resp.get(&stream) else {
-                return;
-            };
-            // `discovered`/`pending` are disjoint fields from `mux`, so
-            // the partial body is scanned in place.
-            Self::discover_sources(&mut self.discovered, &mut self.pending, &r.body);
+        let Some(m) = self.mux.as_mut() else {
+            return;
+        };
+        if m.html_stream != Some(stream) {
+            return;
         }
-        if self.pending.len() > before {
+        let Some(r) = m.resp.get_mut(&stream) else {
+            return;
+        };
+        let deflated = matches!(
+            coding::declared_coding(&r.headers),
+            Ok(ContentCoding::Deflate)
+        );
+        // `discovered`/`pending` are disjoint fields from `mux`, so the
+        // partial body is scanned in place.
+        if r.discovery.resume(
+            deflated,
+            &r.body,
+            &mut self.discovered,
+            &mut self.pending,
+            &mut self.stats,
+        ) {
             self.pump(ctx);
         }
     }

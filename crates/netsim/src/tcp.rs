@@ -1138,7 +1138,10 @@ impl Tcb {
             }
             _ => {
                 let data_start = self.snd_una.max(self.buf_base);
-                let data_end = self.send_limit();
+                // Only bytes already sent: a tail hole fill must not carry
+                // unsent data, which the next output would send again
+                // (`snd_nxt` is never rewound here).
+                let data_end = self.send_limit().min(self.snd_nxt);
                 if data_start < data_end {
                     let off = seq_sub(data_start, self.buf_base) as usize;
                     let mut len = ((data_end - data_start) as usize).min(self.cfg.mss);

@@ -166,19 +166,93 @@ pub fn inline_image_sources(html: &str) -> Vec<String> {
 }
 
 /// Visit the `src` of every `<img>` tag in document order without
-/// building a token list — the hot path for streaming discovery, which
-/// re-scans the received prefix on every arriving chunk. Mirrors
-/// [`tokenize`]'s control flow exactly (comments and declarations are
-/// skipped whole, an unterminated trailing tag is text) so it yields
-/// precisely the sources [`inline_image_sources`] returns, with zero
-/// allocations.
-pub fn for_each_inline_image_source(html: &str, mut f: impl FnMut(&str)) {
+/// building a token list, with zero allocations. Yields precisely the
+/// sources [`inline_image_sources`] returns; a whole-document
+/// [`scan_inline_image_sources`].
+pub fn for_each_inline_image_source(html: &str, f: impl FnMut(&str)) {
+    scan_inline_image_sources(html, 0, f);
+}
+
+/// Resume an `<img src>` scan at checkpoint `from` and return the next
+/// checkpoint — the hot path of streaming discovery, which sees the
+/// document grow chunk by chunk and scans each byte about once.
+///
+/// A checkpoint is the end of the last construct whose parse cannot
+/// change when more bytes arrive: plain text and terminated tags,
+/// comments and declarations. An unterminated tag is not, and neither
+/// is an open `<!--` whose `-->` has not arrived: until it does, the
+/// scan falls through to `<!`…`>` handling and may report images a
+/// longer prefix skips as commented out. The checkpoint stays before
+/// such a construct, so the next call re-scans it. Scanning a prefix
+/// from 0 and then its extension from the returned checkpoint together
+/// report every source a whole scan of the extension reports, in order
+/// (plus any the open-comment tail reported the first time).
+pub fn scan_inline_image_sources(html: &str, from: usize, mut f: impl FnMut(&str)) -> usize {
+    scan_start_tags(html, from, |name, attrs| {
+        if name.eq_ignore_ascii_case("img") {
+            if let Some(src) = attr_value(attrs, "src") {
+                f(src);
+            }
+        }
+    })
+}
+
+/// [`scan_inline_image_sources`] over raw bytes that may not be valid
+/// UTF-8, decoded the way `String::from_utf8_lossy` decodes the whole
+/// prefix. `from` and the returned checkpoint are byte offsets into
+/// `bytes`. Lossy decoding moves offsets after an invalid or truncated
+/// sequence, so the checkpoint only advances over the bytes that decode
+/// as valid UTF-8.
+pub fn scan_inline_image_bytes(bytes: &[u8], from: usize, mut f: impl FnMut(&str)) -> usize {
+    let tail = &bytes[from..];
+    match std::str::from_utf8(tail) {
+        Ok(text) => from + scan_inline_image_sources(text, 0, f),
+        Err(e) => {
+            scan_inline_image_sources(&String::from_utf8_lossy(tail), 0, &mut f);
+            let valid = std::str::from_utf8(&tail[..e.valid_up_to()])
+                .expect("bytes before valid_up_to are valid UTF-8");
+            from + scan_inline_image_sources(valid, 0, |_| {})
+        }
+    }
+}
+
+/// Visit every pushable subresource reference in document order: the
+/// `src` of `<img>` tags plus the `href` of `<link rel=stylesheet>`
+/// tags. This is the server-push discovery scan — same walk as
+/// [`for_each_inline_image_source`], zero allocations.
+pub fn for_each_subresource(html: &str, mut f: impl FnMut(&str)) {
+    scan_start_tags(html, 0, |name, attrs| {
+        if name.eq_ignore_ascii_case("img") {
+            if let Some(src) = attr_value(attrs, "src") {
+                f(src);
+            }
+        } else if name.eq_ignore_ascii_case("link")
+            && attr_value(attrs, "rel").is_some_and(|r| r.eq_ignore_ascii_case("stylesheet"))
+        {
+            if let Some(href) = attr_value(attrs, "href") {
+                f(href);
+            }
+        }
+    });
+}
+
+/// Visit the name and raw attributes of every start tag from `from` on,
+/// and return the checkpoint [`scan_inline_image_sources`] describes.
+/// Mirrors [`tokenize`]'s control flow exactly: comments and
+/// declarations are skipped whole, an unterminated trailing tag is text.
+fn scan_start_tags(html: &str, from: usize, mut visit: impl FnMut(&str, &str)) -> usize {
     let bytes = html.as_bytes();
-    let mut i = 0;
+    let mut i = from;
+    let mut checkpoint = from;
+    // False once an open comment makes everything after it provisional.
+    let mut stable = true;
     while i < bytes.len() {
         if bytes[i] != b'<' {
             i += 1;
             continue;
+        }
+        if stable {
+            checkpoint = i;
         }
         // Comment / declaration: skipped whole, images inside don't count.
         if bytes[i..].starts_with(b"<!--") {
@@ -186,6 +260,7 @@ pub fn for_each_inline_image_source(html: &str, mut f: impl FnMut(&str)) {
                 i += end + 3;
                 continue;
             }
+            stable = false;
         }
         if bytes[i..].starts_with(b"<!") {
             if let Some(end) = html[i..].find('>') {
@@ -196,7 +271,7 @@ pub fn for_each_inline_image_source(html: &str, mut f: impl FnMut(&str)) {
         // Ordinary tag.
         let Some(end) = html[i..].find('>') else {
             // Unterminated: the remainder is text.
-            return;
+            return checkpoint;
         };
         let inner = &html[i + 1..i + end];
         let (closing, inner) = match inner.strip_prefix('/') {
@@ -212,71 +287,15 @@ pub fn for_each_inline_image_source(html: &str, mut f: impl FnMut(&str)) {
             i += 1;
             continue;
         }
-        if !closing && name.eq_ignore_ascii_case("img") {
-            if let Some(src) = attr_value(&inner[name_end..], "src") {
-                f(src);
-            }
-        }
-        i += end + 1;
-    }
-}
-
-/// Visit every pushable subresource reference in document order: the
-/// `src` of `<img>` tags plus the `href` of `<link rel=stylesheet>`
-/// tags. This is the server-push discovery scan — same walk as
-/// [`for_each_inline_image_source`], zero allocations.
-pub fn for_each_subresource(html: &str, mut f: impl FnMut(&str)) {
-    let bytes = html.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
-        }
-        if bytes[i..].starts_with(b"<!--") {
-            if let Some(end) = html[i..].find("-->") {
-                i += end + 3;
-                continue;
-            }
-        }
-        if bytes[i..].starts_with(b"<!") {
-            if let Some(end) = html[i..].find('>') {
-                i += end + 1;
-                continue;
-            }
-        }
-        let Some(end) = html[i..].find('>') else {
-            return;
-        };
-        let inner = &html[i + 1..i + end];
-        let (closing, inner) = match inner.strip_prefix('/') {
-            Some(rest) => (true, rest),
-            None => (false, inner),
-        };
-        let name_end = inner
-            .find(|c: char| c.is_ascii_whitespace())
-            .unwrap_or(inner.len());
-        let name = &inner[..name_end];
-        if name.is_empty() {
-            i += 1;
-            continue;
-        }
         if !closing {
-            let attrs = &inner[name_end..];
-            if name.eq_ignore_ascii_case("img") {
-                if let Some(src) = attr_value(attrs, "src") {
-                    f(src);
-                }
-            } else if name.eq_ignore_ascii_case("link")
-                && attr_value(attrs, "rel").is_some_and(|r| r.eq_ignore_ascii_case("stylesheet"))
-            {
-                if let Some(href) = attr_value(attrs, "href") {
-                    f(href);
-                }
-            }
+            visit(name, &inner[name_end..]);
         }
         i += end + 1;
     }
+    if stable {
+        checkpoint = bytes.len();
+    }
+    checkpoint
 }
 
 /// Rewrite every tag and attribute name to the given case. Attribute
