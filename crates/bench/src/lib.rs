@@ -1,7 +1,8 @@
 //! Shared helpers for the benchmark targets. The entry points are the
-//! plain wall-clock benches in `benches/` (the build environment has no
-//! crates.io access, so Criterion is unavailable) and the `repro` binary,
-//! which regenerates every table and figure of the paper.
+//! plain wall-clock benches in `benches/` (timed by [`bench_fn`], a
+//! minimal in-tree harness with no external dependency), the `repro`
+//! binary, which regenerates every table and figure of the paper, and
+//! `experiments_md`, which writes EXPERIMENTS.md.
 
 use std::time::{Duration, Instant};
 
@@ -30,9 +31,9 @@ impl Measurement {
     }
 }
 
-/// Time `f` and report per-iteration statistics, Criterion-style but
-/// minimal: one warm-up call, then up to `max_iters` iterations or
-/// ~`budget` of wall clock, whichever comes first.
+/// Time `f` and report per-iteration statistics: one warm-up call, then
+/// up to `max_iters` iterations or ~`budget` of wall clock, whichever
+/// comes first.
 // Host-clock timing is the product here, not simulation state. simlint: allow(wall-clock)
 pub fn bench_fn<T>(name: &str, max_iters: u32, mut f: impl FnMut() -> T) -> Measurement {
     // Warm-up (also forces lazy statics to initialise outside timing).
@@ -74,7 +75,7 @@ pub fn bench_throughput<T>(
     m
 }
 
-/// Print a group header, Criterion-group style.
+/// Print a group header.
 pub fn group(name: &str) {
     println!("\n== {name} ==");
 }

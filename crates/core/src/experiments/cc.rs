@@ -59,7 +59,7 @@ pub fn full_grid() -> Vec<RobustnessPoint> {
     grid(&LOSS_PCT)
 }
 
-/// A reduced grid for smoke tests and CI: 3 setups × {0, 2}% uniform ×
+/// A reduced grid for the tests: 3 setups × {0, 2}% uniform ×
 /// 4 variants (24 cells).
 pub fn reduced_grid() -> Vec<RobustnessPoint> {
     grid(&[0.0, 2.0])

@@ -120,7 +120,7 @@ pub fn loss_grid() -> Vec<RobustnessPoint> {
     )
 }
 
-/// A reduced WAN-only loss grid for smoke tests and CI (12 cells).
+/// A reduced WAN-only loss grid for the tests (12 cells).
 pub fn reduced_loss_grid() -> Vec<RobustnessPoint> {
     robustness::grid(
         &[NetEnv::Wan],
@@ -212,7 +212,7 @@ pub fn fleet_grid() -> Vec<scale::ScalePoint> {
     scale::grid(&NetEnv::ALL, &ProtocolSetup::MUX, &scale::N_GRID)
 }
 
-/// A reduced LAN+WAN mux fleet grid for smoke tests (8 fleets).
+/// A reduced LAN+WAN mux fleet grid for the tests (8 fleets).
 pub fn reduced_fleet_grid() -> Vec<scale::ScalePoint> {
     scale::grid(&[NetEnv::Lan, NetEnv::Wan], &ProtocolSetup::MUX, &[1, 16])
 }
@@ -233,7 +233,7 @@ pub fn probe_grid() -> Vec<probe::ProbePoint> {
     points
 }
 
-/// A reduced LAN-only probe grid for CI smoke runs (2 cells).
+/// A reduced LAN-only probe grid for tests (2 cells).
 pub fn reduced_probe_grid() -> Vec<probe::ProbePoint> {
     probe_grid()
         .into_iter()
@@ -254,9 +254,9 @@ fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     hash
 }
 
-/// The reduced mux report for CI: the LAN Apache matrix table, the
-/// reduced WAN loss grid with its shared-fate extract, and the LAN probe
-/// decomposition. Cheap enough to run twice back to back.
+/// The reduced mux report whose digest the tests pin: the LAN Apache
+/// matrix table, the reduced WAN loss grid with its shared-fate extract,
+/// and the LAN probe decomposition.
 pub fn reduced_report() -> Vec<Table> {
     let mut tables = vec![matrix_table(NetEnv::Lan, ServerKind::Apache)];
     let loss_cells = robustness::run_points(&reduced_loss_grid());

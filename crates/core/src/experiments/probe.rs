@@ -94,7 +94,7 @@ pub fn canonical_grid() -> Vec<ProbePoint> {
     points
 }
 
-/// A reduced LAN-only grid for CI smoke runs (3 cells).
+/// A reduced LAN-only grid for determinism tests (3 cells).
 pub fn reduced_grid() -> Vec<ProbePoint> {
     canonical_grid()
         .into_iter()

@@ -210,7 +210,7 @@ pub fn full_grid() -> Vec<RobustnessPoint> {
     grid(&NetEnv::ALL, &LOSS_GRID_PCT, &SETUPS, &SCENARIOS)
 }
 
-/// A reduced WAN-only grid for smoke tests and CI (18 cells).
+/// A reduced WAN-only grid for the tests (18 cells).
 pub fn reduced_grid() -> Vec<RobustnessPoint> {
     grid(&[NetEnv::Wan], &[0.0, 2.0], &SETUPS, &SCENARIOS)
 }

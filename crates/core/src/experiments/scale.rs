@@ -189,7 +189,7 @@ pub fn full_grid() -> Vec<ScalePoint> {
     grid(&NetEnv::ALL, &SETUPS, &N_GRID)
 }
 
-/// A reduced LAN+WAN grid for smoke tests and CI (18 cells).
+/// A reduced LAN+WAN grid for the tests (18 cells).
 pub fn reduced_grid() -> Vec<ScalePoint> {
     grid(&[NetEnv::Lan, NetEnv::Wan], &SETUPS, &[1, 16, 64])
 }

@@ -1,6 +1,7 @@
 //! The fleet observatory: render telemetry time-series as ASCII
 //! sparkline timelines, and package the deterministic smoke artifacts
-//! (JSON, CSV, pcapng) the CI gate compares byte-for-byte.
+//! (JSON, CSV, pcapng) that `crates/bench/tests/telemetry_goldens.rs`
+//! compares byte-for-byte with committed goldens.
 //!
 //! Two scenes anchor the report:
 //!
@@ -267,7 +268,7 @@ pub fn volume_table() -> Table {
     t
 }
 
-/// The deterministic artifacts the `telemetry_smoke` CI gate compares:
+/// The deterministic artifacts the telemetry goldens pin:
 /// JSON and pcapng from a single WAN loss cell, CSV from a small fleet.
 pub struct SmokeArtifacts {
     /// Telemetry series of the WAN cell, rendered as JSON.

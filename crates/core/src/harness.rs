@@ -648,18 +648,13 @@ pub fn worker_threads(cells: usize) -> usize {
 /// [`worker_threads`] (override with `HTTPIPE_THREADS=1` to force
 /// serial execution).
 pub fn run_cells(specs: Vec<CellSpec>) -> Vec<CellResult> {
-    run_cells_threaded(specs, None)
-}
-
-/// [`run_cells`] with an explicit thread count (`None` = automatic).
-pub fn run_cells_threaded(specs: Vec<CellSpec>, threads: Option<usize>) -> Vec<CellResult> {
-    run_cells_map(specs, threads, |s| run_spec(s).cell)
+    run_cells_map(specs, None, |s| run_spec(s).cell)
 }
 
 /// Map an arbitrary per-cell function across independent cells on the
 /// work-stealing pool, returning the outputs in input order.
 ///
-/// The engine behind [`run_cells_threaded`] and [`run_cells_checked`]:
+/// The engine behind [`run_cells`] and [`run_cells_checked`]:
 /// each worker claims the next unstarted cell off a shared counter, so
 /// long cells (PPP) don't serialize behind a static partition. With one
 /// thread (or one cell) it degrades to a plain serial loop.

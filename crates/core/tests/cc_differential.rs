@@ -53,6 +53,34 @@ fn reno_via_trait_reproduces_seed_scale_digest() {
         SEED_SCALE_DIGEST,
         "Reno-through-the-trait changed the fleet engine"
     );
+
+    // The contended cells really contend: on LAN and WAN alike, at N=64
+    // the fleet's slowest client is slower than an uncontended single
+    // client of the same setup, yet every client fetches the whole site.
+    let mut contended = 0;
+    for big in cells.iter().filter(|c| c.point.n_clients == 64) {
+        let lone = cells
+            .iter()
+            .find(|c| {
+                c.point.env == big.point.env
+                    && c.point.setup == big.point.setup
+                    && c.point.n_clients == 1
+            })
+            .expect("N=1 anchor present");
+        assert!(
+            big.p99 > lone.p50,
+            "{:?}: 64 contending clients no slower than one",
+            big.point
+        );
+        assert_eq!(
+            big.fetched,
+            64 * lone.fetched,
+            "{:?}: some client fell short of the full site",
+            big.point
+        );
+        contended += 1;
+    }
+    assert_eq!(contended, 2 * scale::SETUPS.len(), "LAN and WAN N=64 cells");
 }
 
 /// An explicit `TcpConfig::default()` override (which selects

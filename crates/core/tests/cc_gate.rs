@@ -20,9 +20,19 @@ fn inflation(cells: &[robustness::RobustnessCell], setup: ProtocolSetup, cc: CcV
         .unwrap_or_else(|| panic!("missing 2% cell for {setup:?} {cc:?}"))
 }
 
+/// Report digest of the reduced CC grid (the value EXPERIMENTS.md
+/// prints). Any change to a variant's recovery, or to the impairment
+/// draws the variants share, moves it.
+const REDUCED_GRID_DIGEST: u64 = 0xc1b4_e534_0e81_f033;
+
 #[test]
 fn recovery_ordering_at_two_percent_wan_loss() {
     let cells = robustness::run_points(&cc::reduced_grid());
+    assert_eq!(
+        cc::report_digest(&cc::report(&cells)),
+        REDUCED_GRID_DIGEST,
+        "the reduced CC grid's report changed"
+    );
 
     let pipelined = |cc| inflation(&cells, ProtocolSetup::Http11Pipelined, cc);
     let reno = pipelined(CcVariant::Reno);

@@ -46,13 +46,20 @@ fn full_unimpaired_matrix_is_conformant() {
     );
 }
 
+/// The reduced WAN loss grid plus the jitter/reordering study
+/// (`robustness::SETUPS` × `JITTER_GRID_MS`).
 #[test]
 fn impaired_reduced_grid_is_conformant() {
     use httpipe_core::experiments::robustness;
-    let specs: Vec<_> = robustness::reduced_grid()
+    let mut specs: Vec<_> = robustness::reduced_grid()
         .iter()
         .map(|p| p.spec())
         .collect();
+    for setup in robustness::SETUPS {
+        for jitter_ms in robustness::JITTER_GRID_MS {
+            specs.push(robustness::JitterPoint { setup, jitter_ms }.spec());
+        }
+    }
     let n = specs.len();
     let (cells, report) = run_cells_checked(specs);
     assert_eq!(cells.len(), n);
@@ -60,5 +67,9 @@ fn impaired_reduced_grid_is_conformant() {
         report.is_clean(),
         "violations across the {n}-cell impaired grid:\n{}",
         report.summary()
+    );
+    assert!(
+        report.connections > 0 && report.segments > 0 && report.http_requests > 0,
+        "checker saw no traffic: trace plumbing is broken"
     );
 }

@@ -9,9 +9,7 @@
 
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::protocol_matrix::matrix_setups;
-use httpipe_core::harness::{
-    matrix_spec, run_cells, run_cells_threaded, run_spec, CellSpec, Scenario,
-};
+use httpipe_core::harness::{matrix_spec, run_cells, run_cells_map, run_spec, CellSpec, Scenario};
 use httpserver::ServerKind;
 use netsim::TraceMode;
 
@@ -66,7 +64,9 @@ fn parallel_matrix_equals_serial_loop() {
 
     // ... and a forced 4-worker pool, so the threaded executor and its
     // input-order result reassembly are exercised regardless of host.
-    let threaded = run_cells_threaded(full_matrix(TraceMode::StatsOnly), Some(4));
+    let threaded = run_cells_map(full_matrix(TraceMode::StatsOnly), Some(4), |s| {
+        run_spec(s).cell
+    });
     assert_eq!(serial, threaded);
 }
 

@@ -27,7 +27,9 @@ fn reduced_grid_is_deterministic_across_thread_counts() {
         .collect();
     let pooled = {
         let specs = points.iter().map(|p| p.spec()).collect();
-        let cells = httpipe_core::harness::run_cells_threaded(specs, Some(8));
+        let cells = httpipe_core::harness::run_cells_map(specs, Some(8), |s| {
+            httpipe_core::harness::run_spec(s).cell
+        });
         points
             .iter()
             .zip(cells)

@@ -27,7 +27,7 @@ pub struct CacheEntry {
 /// Path-keyed client cache.
 #[derive(Debug, Clone, Default)]
 pub struct ClientCache {
-    // xtask: allow(hash-collections): keyed lookup only (get/insert by
+    // simlint: allow(hash-collections): keyed lookup only (get/insert by
     // path); never iterated, so map order cannot leak into a run.
     entries: HashMap<String, CacheEntry>,
 }

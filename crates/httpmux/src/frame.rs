@@ -165,7 +165,7 @@ impl Frame {
 
     pub fn encode(&self) -> Vec<u8> {
         // Convenience for tests and the conformance checker; the engine
-        // appends with `encode_into`. xtask: allow(hot-path-alloc)
+        // appends with `encode_into`. simlint: allow(hot-path-alloc)
         let mut out = Vec::new();
         self.encode_into(&mut out);
         out

@@ -51,7 +51,7 @@ impl Entity {
 /// A path → entity map shared by server instances.
 #[derive(Debug, Default)]
 pub struct SiteStore {
-    // xtask: allow(hash-collections): keyed lookup only (get/insert by
+    // simlint: allow(hash-collections): keyed lookup only (get/insert by
     // path); never iterated, so map order cannot leak into a run.
     entities: HashMap<String, Entity>,
 }

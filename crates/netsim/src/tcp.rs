@@ -753,7 +753,7 @@ impl Tcb {
 
     fn handle_data(&mut self, now: SimTime, seg: &Segment, fx: &mut Effects) {
         let mut seq = seg.seq;
-        // xtask: allow(hot-path-alloc) -- `Bytes` clone is a refcount
+        // simlint: allow(hot-path-alloc) -- `Bytes` clone is a refcount
         // bump sharing the pooled buffer, not a copy.
         let mut payload = seg.payload.clone();
 

@@ -72,7 +72,7 @@ struct PairEvents {
     last_sent: [Option<SimTime>; 2],
     /// Highest sequence-space end seen per flow; a data segment starting
     /// below it re-covers already-sent octets: a retransmission.
-    // xtask: allow(hash-collections): keyed lookup only; never iterated.
+    // simlint: allow(hash-collections): keyed lookup only; never iterated.
     max_seq: HashMap<(SockAddr, SockAddr), u64>,
 }
 
@@ -84,11 +84,11 @@ pub struct Trace {
     /// Online per-pair aggregates, keyed by the (low, high) host pair;
     /// `packets_c2s` counts the low→high direction. Only populated in
     /// [`TraceMode::StatsOnly`].
-    // xtask: allow(hash-collections): read per-pair via `stats()`,
+    // simlint: allow(hash-collections): read per-pair via `stats()`,
     // never iterated.
     pair_stats: HashMap<(HostId, HostId), TraceStats>,
     /// Impairment counters per (low, high) host pair, kept in both modes.
-    // xtask: allow(hash-collections): read per-pair, never iterated.
+    // simlint: allow(hash-collections): read per-pair, never iterated.
     net_events: HashMap<(HostId, HostId), PairEvents>,
     /// Dropped packets, retained only in [`TraceMode::Full`].
     dropped: Vec<DropRecord>,
@@ -410,7 +410,7 @@ impl Trace {
         out.push_str("timeval unsigned\n");
         let _ = writeln!(out, "title\n{title}");
         out.push_str("xlabel\ntime\nylabel\nsequence number\n");
-        // xtask: allow(hash-collections): membership test only; output
+        // simlint: allow(hash-collections): membership test only; output
         // order comes from the records vector.
         let mut seen: HashSet<(u64, u64)> = HashSet::new();
         for rec in &self.records {

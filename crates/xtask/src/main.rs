@@ -15,8 +15,7 @@
 //!
 //! Suppressions:
 //! - line-granular: a trailing comment on the offending line naming the
-//!   rule, e.g. `// simlint: allow(<rule-id>)` with a real rule id (the
-//!   legacy `xtask:` marker spelling still works);
+//!   rule, e.g. `// simlint: allow(<rule-id>)` with a real rule id;
 //! - function-granular: the same marker in the comment block above a
 //!   function signature covers the whole body;
 //! - file-granular: a `<rule-id> <path>` line in `xtask-allow.txt` at
