@@ -7,7 +7,7 @@
 use httpipe_bench::{bench_fn, group};
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::{browsers, closemgmt, nagle};
-use httpipe_core::harness::{run_matrix_cell, ProtocolSetup, Scenario};
+use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
 use httpserver::ServerKind;
 
 fn bench_matrix() {
@@ -36,7 +36,7 @@ fn bench_matrix() {
                     }
                 );
                 bench_fn(&id, 10, || {
-                    run_matrix_cell(env, ServerKind::Apache, setup, scenario)
+                    run_spec(matrix_spec(env, ServerKind::Apache, setup, scenario)).cell
                 });
             }
         }

@@ -17,8 +17,8 @@
 //! it. Dropped packets count as departures (the sender did emit them);
 //! network-duplicated deliveries are folded back into one emission.
 //!
-//! Entry point: [`check_trace`]. The harness-facing wrapper lives in
-//! `httpipe-core::harness::run_cells_checked`.
+//! Entry point: [`check_trace`]. The harness-facing wrappers are
+//! `httpipe-core::harness::{run_spec_checked, run_fleet_checked}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

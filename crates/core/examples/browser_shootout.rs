@@ -8,7 +8,7 @@
 
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::browsers;
-use httpipe_core::harness::{run_matrix_cell, ProtocolSetup, Scenario};
+use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
 use httpserver::ServerKind;
 
 fn main() {
@@ -18,18 +18,16 @@ fn main() {
 
     // The robot rows of Tables 8/9, for comparison.
     println!("=== The tuned pipelined robot, for comparison (PPP, Apache) ===");
-    let first = run_matrix_cell(
-        NetEnv::Ppp,
-        ServerKind::Apache,
-        ProtocolSetup::Http11Pipelined,
-        Scenario::FirstTime,
-    );
-    let reval = run_matrix_cell(
-        NetEnv::Ppp,
-        ServerKind::Apache,
-        ProtocolSetup::Http11Pipelined,
-        Scenario::Revalidate,
-    );
+    let spec = |scenario| {
+        matrix_spec(
+            NetEnv::Ppp,
+            ServerKind::Apache,
+            ProtocolSetup::Http11Pipelined,
+            scenario,
+        )
+    };
+    let first = run_spec(spec(Scenario::FirstTime)).cell;
+    let reval = run_spec(spec(Scenario::Revalidate)).cell;
     println!(
         "first visit:  {:>4} packets  {:>7} bytes  {:>6.1}s",
         first.packets(),

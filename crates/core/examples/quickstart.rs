@@ -23,8 +23,9 @@ fn main() {
             ProtocolSetup::Http11PipelinedDeflate,
         ),
     ] {
-        let first = run_matrix_cell(NetEnv::Ppp, ServerKind::Apache, setup, Scenario::FirstTime);
-        let reval = run_matrix_cell(NetEnv::Ppp, ServerKind::Apache, setup, Scenario::Revalidate);
+        let spec = |scenario| matrix_spec(NetEnv::Ppp, ServerKind::Apache, setup, scenario);
+        let first = run_spec(spec(Scenario::FirstTime)).cell;
+        let reval = run_spec(spec(Scenario::Revalidate)).cell;
         println!("{name}:");
         println!(
             "  first visit:  {:>4} packets  {:>7} bytes  {:>6.1}s  ({} connections)",

@@ -11,13 +11,12 @@
 //! behaviour).
 
 use crate::env::NetEnv;
-use crate::harness::{microscape_store, primed_cache, run_cells, run_spec, CellSpec};
-use crate::result::{CellResult, Table};
-use httpclient::{
-    ClientCache, ClientConfig, ProtocolMode, RequestStyle, RevalidationStyle, Workload,
+use crate::harness::{
+    matrix_spec, primed_cache, run_cells, run_spec, CellSpec, ProtocolSetup, Scenario,
 };
-use httpserver::{ServerConfig, ServerKind};
-use netsim::{HostId, SockAddr, TraceMode};
+use crate::result::{CellResult, Table};
+use httpclient::{RequestStyle, RevalidationStyle, Workload};
+use httpserver::ServerKind;
 
 /// The browser under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,48 +54,31 @@ impl Browser {
     }
 }
 
-/// Build the browser client spec for one scenario.
+/// Build the browser client spec for one scenario: the HTTP/1.0 matrix
+/// cell over PPP with the browser's request headers and, on a revisit,
+/// its revalidation style.
 fn browser_spec(browser: Browser, server_kind: ServerKind, first_time: bool) -> CellSpec {
+    let base = matrix_spec(
+        NetEnv::Ppp,
+        server_kind,
+        ProtocolSetup::Http10,
+        Scenario::FirstTime,
+    );
+    let spec = CellSpec {
+        client: base.client.with_style(browser.style()),
+        ..base
+    };
+    if first_time {
+        return spec;
+    }
     let site = webcontent::microscape::site();
-    let store = microscape_store(site);
-    let server = match server_kind {
-        ServerKind::Jigsaw => ServerConfig::jigsaw(80),
-        ServerKind::Apache => ServerConfig::apache(80),
-    };
-    let addr = SockAddr::new(HostId(1), 80);
-    let client = ClientConfig::robot(ProtocolMode::Http10Parallel { max_connections: 4 }, addr)
-        .with_style(browser.style());
-
-    let (workload, cache) = if first_time {
-        (
-            Workload::Browse {
-                start: site.html_path().into(),
-            },
-            ClientCache::new(),
-        )
-    } else {
-        (
-            Workload::Revalidate {
-                start: site.html_path().into(),
-                style: browser.revalidation(),
-            },
-            primed_cache(site),
-        )
-    };
-
     CellSpec {
-        env: NetEnv::Ppp,
-        server,
-        store,
-        client,
-        workload,
-        cache,
-        link_codec: None,
-        impair: None,
-        tcp: None,
-        trace_mode: TraceMode::StatsOnly,
-        probe: false,
-        telemetry: false,
+        workload: Workload::Revalidate {
+            start: site.html_path().into(),
+            style: browser.revalidation(),
+        },
+        cache: primed_cache(site),
+        ..spec
     }
 }
 
@@ -198,12 +180,13 @@ mod tests {
         // The paper's implicit comparison: Table 10/11 CV vs Tables 8/9
         // CV pipelined — the browsers use several times the packets.
         let nav = run_browser_cell(Browser::Navigator, ServerKind::Apache, false);
-        let robot = crate::harness::run_matrix_cell(
+        let robot = run_spec(matrix_spec(
             NetEnv::Ppp,
             ServerKind::Apache,
-            crate::harness::ProtocolSetup::Http11Pipelined,
-            crate::harness::Scenario::Revalidate,
-        );
+            ProtocolSetup::Http11Pipelined,
+            Scenario::Revalidate,
+        ))
+        .cell;
         assert!(nav.packets() > robot.packets() * 3);
     }
 }

@@ -17,6 +17,7 @@
 //! part of pipelining's per-lost-packet penalty relative to Reno at 2%+
 //! loss — the gated ordering in `crates/core/tests/cc_gate.rs`.
 
+use super::{fnv1a, FNV_OFFSET};
 use crate::env::NetEnv;
 use crate::experiments::robustness::{self, LossShape, RobustnessCell, RobustnessPoint};
 use crate::harness::{matrix_spec, run_cells_map, run_spec, ProtocolSetup, Scenario};
@@ -197,19 +198,10 @@ pub fn probe_table(rows: &[(CcVariant, f64, netsim::ProbeAnalysis)]) -> Table {
 // Digest
 // ---------------------------------------------------------------------
 
-/// FNV-1a over a byte string (the repo's stable digest hash).
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// A stable digest over rendered tables — two runs of the same grid must
 /// agree bit-for-bit, regardless of thread count.
 pub fn report_digest(tables: &[Table]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for t in tables {
         hash = fnv1a(t.render().as_bytes(), hash);
     }

@@ -10,12 +10,12 @@
 //!   mixed case to ≈.35).
 
 use crate::env::NetEnv;
-use crate::harness::{microscape_store, run_spec, CellSpec};
+use crate::harness::{matrix_spec, run_spec, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
 use flate::{deflate, Level};
-use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
-use httpserver::{ServerConfig, ServerKind};
-use netsim::{HostId, ModemCompressor, SockAddr, TraceMode};
+use httpclient::Workload;
+use httpserver::ServerKind;
+use netsim::ModemCompressor;
 
 /// Deflate statistics for the Microscape HTML — the paper's headline
 /// compression claim.
@@ -57,37 +57,21 @@ pub fn html_deflate_study() -> HtmlDeflateStudy {
 /// a 28.8k modem *with V.42bis link compression active* — once with the
 /// plain HTML, once with the pre-deflated entity.
 pub fn modem_cells(server_kind: ServerKind) -> (CellResult, CellResult) {
-    let run_one = |deflate_on: bool| {
-        let site = webcontent::microscape::site();
-        let store = microscape_store(site);
-        let server = match server_kind {
-            ServerKind::Jigsaw => ServerConfig::jigsaw(80),
-            ServerKind::Apache => ServerConfig::apache(80),
-        }
-        .with_deflate(deflate_on);
-        let addr = SockAddr::new(HostId(1), 80);
-        let client =
-            ClientConfig::robot(ProtocolMode::Http11Pipelined, addr).with_deflate(deflate_on);
-        let spec = CellSpec {
-            env: NetEnv::Ppp,
-            server,
-            store,
-            client,
+    let run_one = |setup| {
+        run_spec(CellSpec {
             workload: Workload::FetchList {
-                paths: vec![site.html_path().to_string()],
+                paths: vec![webcontent::microscape::site().html_path().to_string()],
             },
-            cache: ClientCache::new(),
             // The modem pair compresses the PPP stream either way.
             link_codec: Some(|| Box::new(ModemCompressor::new())),
-            impair: None,
-            tcp: None,
-            trace_mode: TraceMode::StatsOnly,
-            probe: false,
-            telemetry: false,
-        };
-        run_spec(spec).cell
+            ..matrix_spec(NetEnv::Ppp, server_kind, setup, Scenario::FirstTime)
+        })
+        .cell
     };
-    (run_one(false), run_one(true))
+    (
+        run_one(ProtocolSetup::Http11Pipelined),
+        run_one(ProtocolSetup::Http11PipelinedDeflate),
+    )
 }
 
 /// Render the §8.2.1 table for both servers.

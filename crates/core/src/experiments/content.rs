@@ -3,11 +3,10 @@
 //! end-to-end browse of the CSS-converted page.
 
 use crate::env::NetEnv;
-use crate::harness::{custom_store, microscape_store, run_spec, CellSpec};
+use crate::harness::{custom_store, matrix_spec, run_spec, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
-use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
-use httpserver::ServerConfig;
-use netsim::{HostId, SockAddr, TraceMode};
+use httpclient::Workload;
+use httpserver::ServerKind;
 use webcontent::convert::{convert_site, ConversionReport};
 use webcontent::css;
 use webcontent::synth::ImageRole;
@@ -110,62 +109,31 @@ pub fn conversion_table() -> Table {
 /// Simulated browse of the original vs the CSS-converted page over PPP:
 /// what style sheets buy end-to-end, HTTP version unchanged.
 pub fn css_browse_cells(pipelined: bool) -> (CellResult, CellResult) {
-    let site = webcontent::microscape::site();
-    let mode = if pipelined {
-        ProtocolMode::Http11Pipelined
+    let setup = if pipelined {
+        ProtocolSetup::Http11Pipelined
     } else {
-        ProtocolMode::Http10Parallel { max_connections: 4 }
+        ProtocolSetup::Http10
     };
-    let addr = SockAddr::new(HostId(1), 80);
+    let base = || matrix_spec(NetEnv::Ppp, ServerKind::Apache, setup, Scenario::FirstTime);
+    let original = run_spec(base()).cell;
 
-    let original = {
-        let spec = CellSpec {
-            env: NetEnv::Ppp,
-            server: ServerConfig::apache(80),
-            store: microscape_store(site),
-            client: ClientConfig::robot(mode, addr),
-            workload: Workload::Browse {
-                start: site.html_path().into(),
-            },
-            cache: ClientCache::new(),
-            link_codec: None,
-            impair: None,
-            tcp: None,
-            trace_mode: TraceMode::StatsOnly,
-            probe: false,
-            telemetry: false,
-        };
-        run_spec(spec).cell
-    };
-
-    let converted = {
-        let variant = site.css_variant();
-        let mut objects: Vec<(String, Vec<u8>, &'static str)> = vec![(
-            "/index.html".to_string(),
-            variant.html.clone().into_bytes(),
-            "text/html",
-        )];
-        for obj in &variant.kept {
-            objects.push((obj.path.clone(), obj.body.clone(), "image/gif"));
-        }
-        let spec = CellSpec {
-            env: NetEnv::Ppp,
-            server: ServerConfig::apache(80),
-            store: custom_store(&objects),
-            client: ClientConfig::robot(mode, addr),
-            workload: Workload::Browse {
-                start: "/index.html".into(),
-            },
-            cache: ClientCache::new(),
-            link_codec: None,
-            impair: None,
-            tcp: None,
-            trace_mode: TraceMode::StatsOnly,
-            probe: false,
-            telemetry: false,
-        };
-        run_spec(spec).cell
-    };
+    let variant = webcontent::microscape::site().css_variant();
+    let mut objects: Vec<(String, Vec<u8>, &'static str)> = vec![(
+        "/index.html".to_string(),
+        variant.html.clone().into_bytes(),
+        "text/html",
+    )];
+    for obj in &variant.kept {
+        objects.push((obj.path.clone(), obj.body.clone(), "image/gif"));
+    }
+    let converted = run_spec(CellSpec {
+        store: custom_store(&objects),
+        workload: Workload::Browse {
+            start: "/index.html".into(),
+        },
+        ..base()
+    })
+    .cell;
     (original, converted)
 }
 

@@ -21,6 +21,7 @@
 //!   argument the robustness family makes for pipelining, sharpened by
 //!   push putting even more bytes behind the same loss.
 
+use super::{fnv1a, FNV_OFFSET};
 use crate::env::NetEnv;
 use crate::experiments::robustness::{self, LossShape, RobustnessCell, RobustnessPoint};
 use crate::experiments::{probe, scale};
@@ -245,15 +246,6 @@ pub fn reduced_probe_grid() -> Vec<probe::ProbePoint> {
 // Reports and digests
 // ---------------------------------------------------------------------
 
-/// FNV-1a over a byte string (the repo's stable digest hash).
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// The reduced mux report whose digest the tests pin: the LAN Apache
 /// matrix table, the reduced WAN loss grid with its shared-fate extract,
 /// and the LAN probe decomposition.
@@ -269,7 +261,7 @@ pub fn reduced_report() -> Vec<Table> {
 /// A stable digest over rendered tables — two runs of the same grid must
 /// agree bit-for-bit, regardless of thread count.
 pub fn report_digest(tables: &[Table]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for t in tables {
         hash = fnv1a(t.render().as_bytes(), hash);
     }

@@ -18,6 +18,7 @@
 //! impairment seed from its own coordinates, so any cell can be re-run
 //! bit-identically in isolation.
 
+use super::{fnv1a, FNV_OFFSET};
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
@@ -91,17 +92,6 @@ pub struct RobustnessPoint {
     /// so existing grid digests stay bit-identical.
     pub cc: CcVariant,
 }
-
-/// FNV-1a over a byte string — the stable seed/digest hash used here.
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 impl RobustnessPoint {
     /// A stable per-point impairment seed derived from the coordinates,

@@ -1,6 +1,8 @@
-//! The cell runner: wires a client, a server and a network together and
-//! extracts the paper's metrics from one deterministic run — plus
-//! [`run_cells`], which fans independent cells across a thread pool.
+//! The run engine: wires clients, a server and a network together and
+//! extracts the paper's metrics from one deterministic run. Single-client
+//! cells ([`run_spec`]) and fleets ([`run_fleet`]) take the same private
+//! build–run–extract path and differ only in how the link is wired;
+//! [`run_cells_map`] fans independent runs across a thread pool.
 //!
 //! Every [`Simulator`] is fully self-contained (own event queue, clock,
 //! hosts, trace), so independent cells parallelize trivially: the pool
@@ -13,7 +15,7 @@ use httpclient::{
     ClientCache, ClientConfig, HttpClient, ProtocolMode, RequestStyle, RevalidationStyle, Workload,
 };
 use httpserver::{Entity, HttpServer, ServerConfig, ServerKind, SiteStore};
-use netsim::{LinkCodec, Simulator, SockAddr, TraceMode};
+use netsim::{HostId, LinkCodec, Simulator, SockAddr, TraceMode};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use webcontent::microscape::{Microscape, SITE_MTIME};
@@ -226,9 +228,8 @@ pub struct RunOutput {
 }
 
 /// Assemble one client's [`CellResult`] from the raw trace, socket and
-/// application counters (shared by [`run_spec`], [`run_fleet`] and the
-/// revisit-idiom experiment).
-pub(crate) fn cell_result(
+/// application counters.
+fn cell_result(
     stats: &netsim::TraceStats,
     socket_stats: netsim::SocketStats,
     client_stats: &httpclient::ClientStats,
@@ -264,83 +265,177 @@ pub(crate) fn cell_result(
     }
 }
 
-/// Execute one cell.
-pub fn run_spec(spec: CellSpec) -> RunOutput {
+/// How the engine connects the client hosts to the server — the one step
+/// in which a single-client cell and a fleet differ.
+enum Wiring<'a> {
+    /// One client on a private point-to-point link.
+    PointToPoint {
+        impair: Option<netsim::ImpairConfig>,
+        codec: Option<fn() -> Box<dyn LinkCodec>>,
+    },
+    /// Every client through one shared bottleneck.
+    Shared {
+        spokes: &'a [HostId],
+        buffer_bytes: Option<u64>,
+    },
+}
+
+/// One simulated run as the engine executes it.
+struct Run<'a> {
+    env: NetEnv,
+    wiring: Wiring<'a>,
+    server: ServerConfig,
+    store: Arc<SiteStore>,
+    tcp: Option<netsim::TcpConfig>,
+    trace_mode: TraceMode,
+    probe: bool,
+    telemetry: bool,
+}
+
+/// What the engine hands back besides the per-client cells.
+struct Executed {
+    sim: Simulator,
+    server_host: HostId,
+    server_stats: httpserver::ServerStats,
+    /// Stall attribution over the first client's window, when the probe
+    /// was on.
+    probe: Option<netsim::ProbeAnalysis>,
+}
+
+/// The one build–run–extract path behind every simulated run.
+///
+/// Hosts are laid out clients-first (`HostId(0..n)`, one per item of
+/// `clients`) with the server last. The TCP override applies to every
+/// host; the server is installed before the clients. `each` receives
+/// every client's [`CellResult`] and counters, in client order.
+fn execute(
+    run: Run<'_>,
+    clients: impl ExactSizeIterator<Item = HttpClient>,
+    mut each: impl FnMut(CellResult, &httpclient::ClientStats),
+) -> Executed {
+    let n = clients.len();
     let mut sim = Simulator::new();
-    sim.set_trace_mode(spec.trace_mode);
-    if spec.probe {
+    sim.set_trace_mode(run.trace_mode);
+    if run.probe {
         sim.enable_probe();
     }
-    if spec.telemetry {
+    if run.telemetry {
         sim.enable_telemetry();
     }
-    let client_host = sim.add_host("client");
+    for i in 0..n {
+        if n == 1 {
+            sim.add_host("client");
+        } else {
+            sim.add_host(&format!("client{i}"));
+        }
+    }
     let server_host = sim.add_host("server");
-    sim.add_link(client_host, server_host, spec.env.link());
-    if let Some(impair) = spec.impair.clone() {
-        sim.set_impairment(client_host, server_host, impair);
+
+    match run.wiring {
+        Wiring::PointToPoint { impair, codec } => {
+            let client = HostId(0);
+            sim.add_link(client, server_host, run.env.link());
+            if let Some(impair) = impair {
+                sim.set_impairment(client, server_host, impair);
+            }
+            if let Some(make) = codec {
+                sim.link_mut(client, server_host).set_codec(make);
+            }
+        }
+        Wiring::Shared {
+            spokes,
+            buffer_bytes,
+        } => {
+            debug_assert!(spokes.iter().enumerate().all(|(i, h)| h.0 as usize == i));
+            let mut link = run.env.link();
+            if let Some(bytes) = buffer_bytes {
+                link = link.with_buffer_bytes(bytes);
+            }
+            sim.add_shared_link(spokes, server_host, link);
+        }
     }
-    if let Some(tcp) = spec.tcp.clone() {
-        sim.set_tcp_config(client_host, tcp.clone());
-        sim.set_tcp_config(server_host, tcp);
-    }
-    if let Some(make) = spec.link_codec {
-        sim.link_mut(client_host, server_host).set_codec(make);
+    if let Some(tcp) = &run.tcp {
+        for i in 0..n {
+            sim.set_tcp_config(HostId(i as u16), tcp.clone());
+        }
+        sim.set_tcp_config(server_host, tcp.clone());
     }
 
     sim.install_app(
         server_host,
-        Box::new(HttpServer::new(spec.server, spec.store)),
+        Box::new(HttpServer::new(run.server, run.store)),
     );
-    sim.install_app(
-        client_host,
-        Box::new(HttpClient::with_cache(
-            spec.client,
-            spec.workload,
-            spec.cache,
-        )),
-    );
+    for (i, client) in clients.enumerate() {
+        sim.install_app(HostId(i as u16), Box::new(client));
+    }
     sim.run_until_idle();
 
-    let mut stats = sim.stats(client_host, server_host);
-    let socket_stats = sim.socket_stats(client_host);
-    let client_stats = sim
-        .app_mut::<HttpClient>(client_host)
-        .expect("client app")
-        .stats
-        .clone();
+    let telemetry = run.telemetry.then(|| sim.telemetry().summary());
+    let mut probe = None;
+    for i in 0..n {
+        let host = HostId(i as u16);
+        let mut stats = sim.stats(host, server_host);
+        let socket_stats = sim.socket_stats(host);
+        if run.probe && i == 0 {
+            let start = stats.first.unwrap_or(netsim::SimTime::from_nanos(0));
+            let end = stats.last.unwrap_or(start);
+            probe = Some(netsim::probe::attribute(sim.probe_records(), start, end));
+        }
+        let client_stats = &sim.app_mut::<HttpClient>(host).expect("client app").stats;
+        stats.record_push_counters(
+            client_stats.pushed_responses,
+            client_stats.pushed_bytes,
+            client_stats.cancelled_pushes,
+            client_stats.cancelled_push_bytes,
+        );
+        let mut cell = cell_result(&stats, socket_stats, client_stats);
+        cell.telemetry = telemetry;
+        if i == 0 {
+            cell.probe = probe.as_ref().map(|a| a.report);
+        }
+        each(cell, client_stats);
+    }
     let server_stats = sim
         .app_mut::<HttpServer>(server_host)
         .expect("server app")
         .stats;
-    stats.record_push_counters(
-        client_stats.pushed_responses,
-        client_stats.pushed_bytes,
-        client_stats.cancelled_pushes,
-        client_stats.cancelled_push_bytes,
-    );
-
-    let mut cell = cell_result(&stats, socket_stats, &client_stats);
-    if spec.telemetry {
-        cell.telemetry = Some(sim.telemetry().summary());
+    Executed {
+        sim,
+        server_host,
+        server_stats,
+        probe,
     }
-    let probe = if spec.probe {
-        let start = stats.first.unwrap_or(netsim::SimTime::from_nanos(0));
-        let end = stats.last.unwrap_or(start);
-        let analysis = netsim::probe::attribute(sim.probe_records(), start, end);
-        cell.probe = Some(analysis.report);
-        Some(analysis)
-    } else {
-        None
+}
+
+/// Execute one cell.
+pub fn run_spec(spec: CellSpec) -> RunOutput {
+    let run = Run {
+        env: spec.env,
+        wiring: Wiring::PointToPoint {
+            impair: spec.impair,
+            codec: spec.link_codec,
+        },
+        server: spec.server,
+        store: spec.store,
+        tcp: spec.tcp,
+        trace_mode: spec.trace_mode,
+        probe: spec.probe,
+        telemetry: spec.telemetry,
     };
+    let client = HttpClient::with_cache(spec.client, spec.workload, spec.cache);
+    let mut result = None;
+    let done = execute(run, std::iter::once(client), |cell, stats| {
+        result = Some((cell, stats.clone()));
+    });
+    let (cell, client_stats) = result.expect("one client");
     RunOutput {
         cell,
         client_stats,
-        server_stats,
-        sim,
-        client_host,
-        server_host,
-        probe,
+        server_stats: done.server_stats,
+        sim: done.sim,
+        client_host: HostId(0),
+        server_host: done.server_host,
+        probe: done.probe,
     }
 }
 
@@ -399,84 +494,37 @@ pub struct FleetOutput {
 /// Execute one fleet run: N clients × one shared bottleneck × one server.
 pub fn run_fleet(spec: FleetSpec) -> FleetOutput {
     assert!(spec.n_clients >= 1, "a fleet needs at least one client");
-    let mut sim = Simulator::new();
-    sim.set_trace_mode(spec.trace_mode);
-    if spec.telemetry {
-        sim.enable_telemetry();
-    }
-    let client_hosts: Vec<netsim::HostId> = (0..spec.n_clients)
-        .map(|i| sim.add_host(&format!("client{i}")))
-        .collect();
-    let server_host = sim.add_host("server");
-
-    let mut link = spec.env.link();
-    if let Some(bytes) = spec.buffer_bytes {
-        link = link.with_buffer_bytes(bytes);
-    }
-    sim.add_shared_link(&client_hosts, server_host, link);
-
-    if let Some(tcp) = &spec.tcp {
-        for &c in &client_hosts {
-            sim.set_tcp_config(c, tcp.clone());
-        }
-        sim.set_tcp_config(server_host, tcp.clone());
-    }
-
-    let addr = SockAddr::new(server_host, spec.server.port);
-    sim.install_app(
-        server_host,
-        Box::new(HttpServer::new(spec.server, spec.store)),
-    );
-    for &c in &client_hosts {
+    let client_hosts: Vec<HostId> = (0..spec.n_clients).map(|i| HostId(i as u16)).collect();
+    let addr = SockAddr::new(HostId(spec.n_clients as u16), spec.server.port);
+    let clients = (0..spec.n_clients).map(|_| {
         let client = ClientConfig::robot(spec.setup.mode(), addr)
             .with_deflate(spec.setup.deflate())
             .with_style(RequestStyle::Robot)
             .with_reset_backoff(spec.reset_backoff);
-        sim.install_app(
-            c,
-            Box::new(HttpClient::with_cache(
-                client,
-                spec.workload.clone(),
-                ClientCache::new(),
-            )),
-        );
-    }
-    sim.run_until_idle();
-
-    let telemetry_summary = spec.telemetry.then(|| sim.telemetry().summary());
-    let per_client = client_hosts
-        .iter()
-        .map(|&c| {
-            let mut stats = sim.stats(c, server_host);
-            let socket_stats = sim.socket_stats(c);
-            let client_stats = sim
-                .app_mut::<HttpClient>(c)
-                .expect("client app")
-                .stats
-                .clone();
-            stats.record_push_counters(
-                client_stats.pushed_responses,
-                client_stats.pushed_bytes,
-                client_stats.cancelled_pushes,
-                client_stats.cancelled_push_bytes,
-            );
-            let mut cell = cell_result(&stats, socket_stats, &client_stats);
-            cell.telemetry = telemetry_summary;
-            cell
-        })
-        .collect();
-    let server_stats = sim
-        .app_mut::<HttpServer>(server_host)
-        .expect("server app")
-        .stats;
-    let server_sockets = sim.socket_stats(server_host);
+        HttpClient::with_cache(client, spec.workload.clone(), ClientCache::new())
+    });
+    let run = Run {
+        env: spec.env,
+        wiring: Wiring::Shared {
+            spokes: &client_hosts,
+            buffer_bytes: spec.buffer_bytes,
+        },
+        server: spec.server,
+        store: spec.store,
+        tcp: spec.tcp,
+        trace_mode: spec.trace_mode,
+        probe: false,
+        telemetry: spec.telemetry,
+    };
+    let mut per_client = Vec::with_capacity(spec.n_clients);
+    let done = execute(run, clients, |cell, _| per_client.push(cell));
     FleetOutput {
         per_client,
-        server_stats,
-        server_sockets,
-        sim,
+        server_stats: done.server_stats,
+        server_sockets: done.sim.socket_stats(done.server_host),
+        sim: done.sim,
         client_hosts,
-        server_host,
+        server_host: done.server_host,
     }
 }
 
@@ -486,21 +534,10 @@ pub fn run_fleet(spec: FleetSpec) -> FleetOutput {
 /// robot (TCP_NODELAY set), and fleets run the spec's TCP parameters
 /// (defaults when `spec.tcp` is `None`).
 pub fn run_fleet_checked(mut spec: FleetSpec) -> (FleetOutput, conformance::Report) {
-    let probe = ClientConfig::robot(
-        spec.setup.mode(),
-        SockAddr::new(netsim::HostId(0), spec.server.port),
-    );
-    let cfg = conformance::CheckConfig {
-        tcp: spec.tcp.clone().unwrap_or_default(),
-        client_nodelay: probe.nodelay,
-        server_nodelay: spec.server.nodelay,
-        server_port: spec.server.port,
-        http: true,
-    };
+    let cfg = check_config(&spec.tcp, true, &spec.server);
     spec.trace_mode = TraceMode::Full;
     let out = run_fleet(spec);
-    let trace = out.sim.trace();
-    let report = conformance::check_trace(trace.records(), trace.drop_records(), &cfg);
+    let report = check(&out.sim, &cfg);
     (out, report)
 }
 
@@ -567,18 +604,35 @@ pub fn matrix_spec(
     }
 }
 
+/// The checker configuration for a run with these TCP parameters, client
+/// TCP_NODELAY setting and server.
+fn check_config(
+    tcp: &Option<netsim::TcpConfig>,
+    client_nodelay: bool,
+    server: &ServerConfig,
+) -> conformance::CheckConfig {
+    conformance::CheckConfig {
+        tcp: tcp.clone().unwrap_or_default(),
+        client_nodelay,
+        server_nodelay: server.nodelay,
+        server_port: server.port,
+        http: true,
+    }
+}
+
 /// Derive the conformance-checker configuration a spec's trace must be
 /// judged against: the TCP parameters in effect on both hosts and the
 /// per-side TCP_NODELAY settings (the applications set it per socket
 /// from their configs, overriding the TCP default).
 pub fn check_config_for(spec: &CellSpec) -> conformance::CheckConfig {
-    conformance::CheckConfig {
-        tcp: spec.tcp.clone().unwrap_or_default(),
-        client_nodelay: spec.client.nodelay,
-        server_nodelay: spec.server.nodelay,
-        server_port: spec.server.port,
-        http: true,
-    }
+    check_config(&spec.tcp, spec.client.nodelay, &spec.server)
+}
+
+/// Verify every TCP/HTTP invariant over a finished full trace: the
+/// checker step shared by [`run_spec_checked`] and [`run_fleet_checked`].
+fn check(sim: &Simulator, cfg: &conformance::CheckConfig) -> conformance::Report {
+    let trace = sim.trace();
+    conformance::check_trace(trace.records(), trace.drop_records(), cfg)
 }
 
 /// Execute one cell under the trace-invariant checker: forces
@@ -590,37 +644,8 @@ pub fn run_spec_checked(mut spec: CellSpec) -> (RunOutput, conformance::Report) 
     let cfg = check_config_for(&spec);
     spec.trace_mode = TraceMode::Full;
     let out = run_spec(spec);
-    let trace = out.sim.trace();
-    let report = conformance::check_trace(trace.records(), trace.drop_records(), &cfg);
+    let report = check(&out.sim, &cfg);
     (out, report)
-}
-
-/// [`run_cells`] with every cell run under the trace-invariant checker.
-/// Returns the per-cell results plus one merged [`conformance::Report`]
-/// across all cells (violations keep their connection addresses; cells
-/// are checked independently so the merge loses no information).
-pub fn run_cells_checked(specs: Vec<CellSpec>) -> (Vec<CellResult>, conformance::Report) {
-    let outcomes = run_cells_map(specs, None, |spec| {
-        let (out, report) = run_spec_checked(spec);
-        (out.cell, report)
-    });
-    let mut merged = conformance::Report::default();
-    let mut cells = Vec::with_capacity(outcomes.len());
-    for (cell, report) in outcomes {
-        merged.merge(report);
-        cells.push(cell);
-    }
-    (cells, merged)
-}
-
-/// Run one matrix cell.
-pub fn run_matrix_cell(
-    env: NetEnv,
-    server_kind: ServerKind,
-    setup: ProtocolSetup,
-    scenario: Scenario,
-) -> CellResult {
-    run_spec(matrix_spec(env, server_kind, setup, scenario)).cell
 }
 
 /// Worker-thread count for [`run_cells`]: the `HTTPIPE_THREADS`
@@ -651,28 +676,29 @@ pub fn run_cells(specs: Vec<CellSpec>) -> Vec<CellResult> {
     run_cells_map(specs, None, |s| run_spec(s).cell)
 }
 
-/// Map an arbitrary per-cell function across independent cells on the
-/// work-stealing pool, returning the outputs in input order.
+/// Map a function across independent work items (cell specs, fleet
+/// points) on the work-stealing pool, returning the outputs in input
+/// order.
 ///
-/// The engine behind [`run_cells`] and [`run_cells_checked`]:
-/// each worker claims the next unstarted cell off a shared counter, so
-/// long cells (PPP) don't serialize behind a static partition. With one
-/// thread (or one cell) it degrades to a plain serial loop.
-pub fn run_cells_map<T, F>(specs: Vec<CellSpec>, threads: Option<usize>, f: F) -> Vec<T>
+/// The pool behind [`run_cells`] and `scale::run_points`: each worker
+/// claims the next unstarted item off a shared counter, so long items
+/// (PPP cells, large fleets) don't serialize behind a static partition.
+/// With one thread (or one item) it degrades to a plain serial loop.
+pub fn run_cells_map<I, T, F>(items: Vec<I>, threads: Option<usize>, f: F) -> Vec<T>
 where
+    I: Send,
     T: Send,
-    F: Fn(CellSpec) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    let n = specs.len();
+    let n = items.len();
     let threads = threads
         .unwrap_or_else(|| worker_threads(n))
         .clamp(1, n.max(1));
     if threads <= 1 {
-        return specs.into_iter().map(f).collect();
+        return items.into_iter().map(f).collect();
     }
 
-    let jobs: Vec<Mutex<Option<CellSpec>>> =
-        specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let jobs: Vec<Mutex<Option<I>>> = items.into_iter().map(|s| Mutex::new(Some(s))).collect();
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -685,26 +711,26 @@ where
                         if i >= n {
                             break;
                         }
-                        let spec = jobs[i]
+                        let item = jobs[i]
                             .lock()
-                            .expect("cell spec lock")
+                            .expect("work item lock")
                             .take()
-                            .expect("cell claimed twice");
-                        out.push((i, f(spec)));
+                            .expect("work item claimed twice");
+                        out.push((i, f(item)));
                     }
                     out
                 })
             })
             .collect();
         for h in handles {
-            for (i, cell) in h.join().expect("cell worker panicked") {
+            for (i, cell) in h.join().expect("pool worker panicked") {
                 results[i] = Some(cell);
             }
         }
     });
     results
         .into_iter()
-        .map(|r| r.expect("every cell produced a result"))
+        .map(|r| r.expect("every item produced a result"))
         .collect()
 }
 
@@ -714,12 +740,13 @@ mod tests {
 
     #[test]
     fn lan_pipelined_revalidation_is_tiny() {
-        let cell = run_matrix_cell(
+        let cell = run_spec(matrix_spec(
             NetEnv::Lan,
             ServerKind::Apache,
             ProtocolSetup::Http11Pipelined,
             Scenario::Revalidate,
-        );
+        ))
+        .cell;
         assert_eq!(cell.fetched, 43);
         assert_eq!(cell.validated, 43, "all 43 objects revalidate");
         assert_eq!(cell.body_bytes, 0);
@@ -733,12 +760,13 @@ mod tests {
 
     #[test]
     fn lan_http10_first_time_has_43_connections() {
-        let cell = run_matrix_cell(
+        let cell = run_spec(matrix_spec(
             NetEnv::Lan,
             ServerKind::Apache,
             ProtocolSetup::Http10,
             Scenario::FirstTime,
-        );
+        ))
+        .cell;
         assert_eq!(cell.fetched, 43);
         assert_eq!(cell.sockets_used, 43, "one connection per request");
         assert!(cell.max_sockets <= 8, "at most 4 active (+closing)");
@@ -747,18 +775,20 @@ mod tests {
 
     #[test]
     fn deflate_setup_compresses_html() {
-        let plain = run_matrix_cell(
+        let plain = run_spec(matrix_spec(
             NetEnv::Lan,
             ServerKind::Apache,
             ProtocolSetup::Http11Pipelined,
             Scenario::FirstTime,
-        );
-        let deflated = run_matrix_cell(
+        ))
+        .cell;
+        let deflated = run_spec(matrix_spec(
             NetEnv::Lan,
             ServerKind::Apache,
             ProtocolSetup::Http11PipelinedDeflate,
             Scenario::FirstTime,
-        );
+        ))
+        .cell;
         assert!(deflated.bytes < plain.bytes, "compression saves wire bytes");
         // ~31 KB of HTML savings out of ~190 KB total.
         let saved = plain.bytes - deflated.bytes;

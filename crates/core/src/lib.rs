@@ -16,12 +16,13 @@
 //! ```no_run
 //! use httpipe_core::prelude::*;
 //!
-//! let cell = run_matrix_cell(
+//! let cell = run_spec(matrix_spec(
 //!     NetEnv::Lan,
 //!     ServerKind::Apache,
 //!     ProtocolSetup::Http11Pipelined,
 //!     Scenario::Revalidate,
-//! );
+//! ))
+//! .cell;
 //! assert_eq!(cell.validated, 43);
 //! ```
 
@@ -37,8 +38,8 @@ pub mod result;
 pub mod prelude {
     pub use crate::env::NetEnv;
     pub use crate::harness::{
-        custom_store, matrix_spec, microscape_store, primed_cache, run_matrix_cell, run_spec,
-        CellSpec, ProtocolSetup, RunOutput, Scenario,
+        custom_store, matrix_spec, microscape_store, primed_cache, run_spec, CellSpec,
+        ProtocolSetup, RunOutput, Scenario,
     };
     pub use crate::result::{CellResult, Table};
     pub use httpclient::{

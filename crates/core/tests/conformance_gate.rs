@@ -3,7 +3,7 @@
 
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::protocol_matrix::matrix_setups;
-use httpipe_core::harness::{matrix_spec, run_cells_checked, run_spec_checked, Scenario};
+use httpipe_core::harness::{matrix_spec, run_cells_map, run_spec_checked, Scenario};
 use httpserver::ServerKind;
 
 #[test]
@@ -37,7 +37,7 @@ fn full_unimpaired_matrix_is_conformant() {
         }
     }
     let n = specs.len();
-    let (cells, report) = run_cells_checked(specs);
+    let (cells, report) = run_checked(specs);
     assert_eq!(cells.len(), n);
     assert!(
         report.is_clean(),
@@ -61,7 +61,7 @@ fn impaired_reduced_grid_is_conformant() {
         }
     }
     let n = specs.len();
-    let (cells, report) = run_cells_checked(specs);
+    let (cells, report) = run_checked(specs);
     assert_eq!(cells.len(), n);
     assert!(
         report.is_clean(),
@@ -72,4 +72,23 @@ fn impaired_reduced_grid_is_conformant() {
         report.connections > 0 && report.segments > 0 && report.http_requests > 0,
         "checker saw no traffic: trace plumbing is broken"
     );
+}
+
+/// Run every cell under the trace-invariant checker on the pool; one
+/// merged report across all cells.
+fn run_checked(
+    specs: Vec<httpipe_core::harness::CellSpec>,
+) -> (Vec<httpipe_core::result::CellResult>, conformance::Report) {
+    let mut merged = conformance::Report::default();
+    let cells = run_cells_map(specs, None, |spec| {
+        let (out, report) = run_spec_checked(spec);
+        (out.cell, report)
+    })
+    .into_iter()
+    .map(|(cell, report)| {
+        merged.merge(report);
+        cell
+    })
+    .collect();
+    (cells, merged)
 }

@@ -7,7 +7,7 @@
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::{mux, robustness};
 use httpipe_core::harness::{
-    matrix_spec, run_cells_checked, run_spec_checked, ProtocolSetup, Scenario,
+    matrix_spec, run_cells_map, run_spec_checked, ProtocolSetup, Scenario,
 };
 use httpserver::ServerKind;
 
@@ -24,7 +24,7 @@ fn mux_matrix_is_conformant() {
         }
     }
     let n = specs.len();
-    let (cells, report) = run_cells_checked(specs);
+    let (cells, report) = run_checked(specs);
     assert_eq!(cells.len(), n);
     assert!(
         report.is_clean(),
@@ -118,4 +118,23 @@ fn mux_fleets_complete_and_push_scales() {
     // One connection per client in both modes.
     assert!(plain.peak_connections <= 16);
     assert!(push.peak_connections <= 16);
+}
+
+/// Run every cell under the trace-invariant checker on the pool; one
+/// merged report across all cells.
+fn run_checked(
+    specs: Vec<httpipe_core::harness::CellSpec>,
+) -> (Vec<httpipe_core::result::CellResult>, conformance::Report) {
+    let mut merged = conformance::Report::default();
+    let cells = run_cells_map(specs, None, |spec| {
+        let (out, report) = run_spec_checked(spec);
+        (out.cell, report)
+    })
+    .into_iter()
+    .map(|(cell, report)| {
+        merged.merge(report);
+        cell
+    })
+    .collect();
+    (cells, merged)
 }

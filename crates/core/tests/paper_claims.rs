@@ -3,12 +3,12 @@
 //! "Observations on HTTP/1.0 and 1.1 Data" section, and the conclusions.
 
 use httpipe_core::env::NetEnv;
-use httpipe_core::harness::{run_matrix_cell, ProtocolSetup, Scenario};
+use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
 use httpipe_core::result::CellResult;
 use httpserver::ServerKind;
 
 fn cell(env: NetEnv, setup: ProtocolSetup, scenario: Scenario) -> CellResult {
-    run_matrix_cell(env, ServerKind::Apache, setup, scenario)
+    run_spec(matrix_spec(env, ServerKind::Apache, setup, scenario)).cell
 }
 
 #[test]

@@ -8,7 +8,7 @@ use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::robustness::{
     self, jitter_study, LossShape, RobustnessCell, RobustnessPoint, SETUPS,
 };
-use httpipe_core::harness::{run_matrix_cell, ProtocolSetup, Scenario};
+use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
 use httpserver::ServerKind;
 
 /// Two runs of the reduced grid — one serial, one with an 8-thread pool —
@@ -62,7 +62,13 @@ fn zero_loss_pipeline_matches_unimpaired_matrix_exactly() {
                 cc: netsim::CcVariant::Reno,
             };
             let impaired = httpipe_core::harness::run_spec(point.spec()).cell;
-            let clean = run_matrix_cell(env, ServerKind::Apache, setup, Scenario::FirstTime);
+            let clean = run_spec(matrix_spec(
+                env,
+                ServerKind::Apache,
+                setup,
+                Scenario::FirstTime,
+            ))
+            .cell;
             assert_eq!(
                 impaired,
                 clean,

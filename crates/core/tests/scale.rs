@@ -8,7 +8,7 @@
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::scale::{self, ScalePoint, N_GRID, SETUPS};
 use httpipe_core::harness::{
-    run_fleet, run_fleet_checked, run_matrix_cell, ProtocolSetup, Scenario,
+    matrix_spec, run_fleet, run_fleet_checked, run_spec, ProtocolSetup, Scenario,
 };
 use httpserver::ServerKind;
 use netsim::TraceMode;
@@ -32,7 +32,13 @@ fn one_client_fleet_reproduces_the_matrix_exactly() {
             };
             let fleet = run_fleet(point.spec());
             assert_eq!(fleet.per_client.len(), 1);
-            let clean = run_matrix_cell(env, ServerKind::Apache, setup, Scenario::FirstTime);
+            let clean = run_spec(matrix_spec(
+                env,
+                ServerKind::Apache,
+                setup,
+                Scenario::FirstTime,
+            ))
+            .cell;
             assert_eq!(
                 fleet.per_client[0],
                 clean,

@@ -754,11 +754,6 @@ impl<'a> Ctx<'a> {
         self.kernel.sock(sock).set_nodelay(nodelay);
     }
 
-    /// Current TCP state (for diagnostics and tests).
-    pub fn sock_state(&mut self, sock: SocketId) -> State {
-        self.kernel.sock(sock).state
-    }
-
     /// Whether the probe flight recorder is collecting. Lets callers skip
     /// building span payloads entirely while the probe is off.
     pub fn probe_enabled(&self) -> bool {
@@ -962,13 +957,6 @@ impl Simulator {
         self.kernel.telemetry.enable();
     }
 
-    /// Like [`Simulator::enable_telemetry`], but sampling on a custom
-    /// tick width.
-    pub fn enable_telemetry_with_tick(&mut self, tick: SimDuration) {
-        self.kernel.telemetry.set_tick(tick);
-        self.kernel.telemetry.enable();
-    }
-
     /// Whether the telemetry sink is collecting.
     pub fn telemetry_enabled(&self) -> bool {
         self.kernel.telemetry.enabled()
@@ -1064,12 +1052,6 @@ impl Simulator {
     /// timers, which merely advance the clock).
     pub fn run_until_idle(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
-    }
-
-    /// Run for a bounded amount of simulated time from now.
-    pub fn run_for(&mut self, d: SimDuration) -> u64 {
-        let deadline = self.kernel.now + d;
-        self.run_until(deadline)
     }
 }
 
