@@ -106,7 +106,7 @@ fn mix(state: &mut u64) -> u64 {
 /// per iteration.
 fn event_queue_push_pop() {
     const N: u64 = 1 << 16;
-    let mut q: EventQueue<u64> = EventQueue::wheel();
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut state = 7u64;
     let mut now = 0u64;
     for i in 0..N {

@@ -26,11 +26,11 @@ static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc::new
 
 /// Packets of one matrix pass, and the most allocations it may make.
 const MATRIX_PACKETS: u64 = 8_870;
-const MATRIX_ALLOCS: u64 = 161_766;
+const MATRIX_ALLOCS: u64 = 161_722;
 
 /// Packets of one fleet pass, and the most allocations it may make.
 const FLEET_PACKETS: u64 = 8_384;
-const FLEET_ALLOCS: u64 = 136_102;
+const FLEET_ALLOCS: u64 = 134_686;
 
 /// Every cell of Tables 4–9, in table order.
 fn matrix_specs() -> Vec<CellSpec> {

@@ -648,19 +648,12 @@ pub fn run_spec_checked(mut spec: CellSpec) -> (RunOutput, conformance::Report) 
     (out, report)
 }
 
-/// Worker-thread count for [`run_cells`]: the `HTTPIPE_THREADS`
-/// environment variable when set, otherwise the machine's available
+/// Worker-thread count for [`run_cells`]: the machine's available
 /// parallelism, never more than the number of cells.
 pub fn worker_threads(cells: usize) -> usize {
-    let hw = std::env::var("HTTPIPE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let hw = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     hw.min(cells).max(1)
 }
 
@@ -670,8 +663,7 @@ pub fn worker_threads(cells: usize) -> usize {
 /// Each [`Simulator`] is self-contained, so cells share nothing but the
 /// read-only `Arc<SiteStore>`; results are bit-identical to running the
 /// same specs in a serial loop. The pool size comes from
-/// [`worker_threads`] (override with `HTTPIPE_THREADS=1` to force
-/// serial execution).
+/// [`worker_threads`]; [`run_cells_map`] takes an explicit count.
 pub fn run_cells(specs: Vec<CellSpec>) -> Vec<CellResult> {
     run_cells_map(specs, None, |s| run_spec(s).cell)
 }

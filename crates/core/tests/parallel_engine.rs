@@ -5,10 +5,12 @@
 //! * `run_cells` (threaded) agrees with a serial `run_spec` loop
 //!   cell-for-cell across the full Tables 4–9 matrix;
 //! * stats-only tracing reports the same `TraceStats` as full tracing
-//!   for every cell of the matrix.
+//!   for every cell of the matrix, and the same `CellResult`s across
+//!   the impaired robustness grid and jitter study.
 
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::protocol_matrix::matrix_setups;
+use httpipe_core::experiments::robustness::{jitter_study, reduced_grid, run_points};
 use httpipe_core::harness::{matrix_spec, run_cells, run_cells_map, run_spec, CellSpec, Scenario};
 use httpserver::ServerKind;
 use netsim::TraceMode;
@@ -89,4 +91,33 @@ fn stats_only_matches_full_trace_across_matrix() {
         );
         assert!(!full.sim.trace().records().is_empty());
     }
+}
+
+/// The impaired cells in both trace modes: the reduced loss grid and the
+/// jitter study exercise exactly the counters the trace folds beside the
+/// packet counts (drops, reorders, retransmissions), so `StatsOnly` and
+/// `Full` must agree on every `CellResult` there too.
+#[test]
+fn stats_only_matches_full_trace_under_impairment() {
+    let full_trace = |mut spec: CellSpec| {
+        spec.trace_mode = TraceMode::Full;
+        spec
+    };
+    let grid = reduced_grid();
+    assert!(grid
+        .iter()
+        .all(|p| p.spec().trace_mode == TraceMode::StatsOnly));
+    let lean: Vec<_> = run_points(&grid).into_iter().map(|c| c.cell).collect();
+    let full = run_cells(grid.iter().map(|p| full_trace(p.spec())).collect());
+    assert_eq!(lean, full, "reduced loss grid differs across trace modes");
+    assert!(lean.iter().any(|c| c.drops > 0 && c.retransmits > 0));
+
+    let jitter = jitter_study();
+    assert!(jitter
+        .iter()
+        .all(|(p, _)| p.spec().trace_mode == TraceMode::StatsOnly));
+    let full = run_cells(jitter.iter().map(|(p, _)| full_trace(p.spec())).collect());
+    let lean: Vec<_> = jitter.into_iter().map(|(_, c)| c).collect();
+    assert_eq!(lean, full, "jitter study differs across trace modes");
+    assert!(lean.iter().any(|c| c.reorders > 0));
 }

@@ -1,16 +1,16 @@
 //! The kernel's event queue: a hierarchical timer wheel with an exact
-//! `(time, push-order)` contract, plus the original binary heap kept as
-//! a reference implementation for differential testing.
+//! `(time, push-order)` contract.
 //!
 //! # Ordering contract
 //!
-//! Both variants of [`EventQueue`] pop events in strictly increasing
-//! `(at, seq)` order, where `seq` is the push sequence number the queue
-//! assigns internally: earlier deadlines first, FIFO among events with
-//! the same deadline. This is exactly the order the simulator's former
-//! `BinaryHeap<Reverse<QueuedEvent>>` produced, so swapping the wheel in
-//! changes *how* events are stored, never the order the kernel sees —
-//! every digest-gated artifact stays bit-identical.
+//! [`EventQueue`] pops events in strictly increasing `(at, seq)` order,
+//! where `seq` is the push sequence number the queue assigns internally:
+//! earlier deadlines first, FIFO among events with the same deadline.
+//! This is exactly the order the simulator's former
+//! `BinaryHeap<Reverse<QueuedEvent>>` produced, so the wheel changes
+//! *how* events are stored, never the order the kernel sees. The
+//! differential tests in `netsim/tests/event_queue.rs` hold it to an
+//! `(at, seq)`-ordered oracle of their own.
 //!
 //! # Wheel shape
 //!
@@ -68,78 +68,8 @@ struct Entry<T> {
     item: T,
 }
 
-/// A queue of `(deadline, payload)` events popped in `(at, seq)` order.
-///
-/// [`EventQueue::wheel`] is the production hierarchical timer wheel;
-/// [`EventQueue::heap`] is the original binary-heap implementation, kept
-/// as the ordering oracle for differential tests.
-pub enum EventQueue<T> {
-    /// Hierarchical timer wheel (production).
-    Wheel(Wheel<T>),
-    /// Binary-heap reference (differential testing).
-    Heap(RefHeap<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// The production timer wheel.
-    pub fn wheel() -> Self {
-        EventQueue::Wheel(Wheel::new())
-    }
-
-    /// The reference binary heap.
-    pub fn heap() -> Self {
-        EventQueue::Heap(RefHeap::new())
-    }
-
-    /// Schedule `item` at `at`. Events with equal `at` pop in push order.
-    #[inline]
-    pub fn push(&mut self, at: SimTime, item: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, item),
-            EventQueue::Heap(h) => h.push(at, item),
-        }
-    }
-
-    /// Pop the earliest event, or `None` if empty.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.pop_before(SimTime::MAX)
-    }
-
-    /// Pop the earliest event only if its deadline is `<= deadline`.
-    #[inline]
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_before(deadline),
-            EventQueue::Heap(h) => h.pop_before(deadline),
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len,
-            EventQueue::Heap(h) => h.heap.len(),
-        }
-    }
-
-    /// True when no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reference implementation: the original binary heap
-// ---------------------------------------------------------------------
-
-/// The simulator's original event queue: a `BinaryHeap` of
-/// `Reverse<(at, seq, item)>` compared on `(at, seq)` only.
-pub struct RefHeap<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    next_seq: u64,
-}
-
+/// An entry of the side heap of deadlines behind the wheel, compared
+/// on `(at, seq)` only.
 struct HeapEntry<T>(Entry<T>);
 
 impl<T> PartialEq for HeapEntry<T> {
@@ -159,39 +89,10 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-impl<T> RefHeap<T> {
-    fn new() -> Self {
-        RefHeap {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    fn push(&mut self, at: SimTime, item: T) {
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapEntry(Entry {
-            at,
-            seq: self.next_seq,
-            item,
-        })));
-    }
-
-    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        if self.heap.peek()?.0 .0.at > deadline {
-            return None;
-        }
-        let Reverse(HeapEntry(e)) = self.heap.pop().expect("peeked entry");
-        Some((e.at, e.item))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Production implementation: the hierarchical timer wheel
-// ---------------------------------------------------------------------
-
-/// Hierarchical timer wheel. See the module docs for the shape and the
+/// A queue of `(deadline, payload)` events popped in `(at, seq)` order:
+/// a hierarchical timer wheel. See the module docs for the shape and the
 /// ordering argument.
-pub struct Wheel<T> {
+pub struct EventQueue<T> {
     /// Current wheel time, in nanoseconds. Advances monotonically, and
     /// never past the earliest stored event.
     elapsed: u64,
@@ -210,9 +111,16 @@ pub struct Wheel<T> {
     spare: Vec<VecDeque<Entry<T>>>,
 }
 
-impl<T> Wheel<T> {
-    fn new() -> Self {
-        Wheel {
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> EventQueue<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        EventQueue {
             elapsed: 0,
             slots: (0..LEVELS)
                 .map(|_| (0..SLOTS).map(|_| VecDeque::new()).collect())
@@ -234,8 +142,9 @@ impl<T> Wheel<T> {
         ((63 - masked.leading_zeros()) / BITS) as usize
     }
 
+    /// Schedule `item` at `at`. Events with equal `at` pop in push order.
     #[inline]
-    fn push(&mut self, at: SimTime, item: T) {
+    pub fn push(&mut self, at: SimTime, item: T) {
         self.next_seq += 1;
         let e = Entry {
             at,
@@ -310,7 +219,24 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
+    /// Pop the earliest event, or `None` if empty.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.pop_before(SimTime::MAX)
+    }
+
+    /// Number of queued events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no events are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Pop the earliest event only if its deadline is `<= deadline`.
+    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         let slot = self.resolve();
         // Earliest wheel candidate, as an `(at, seq)` key.
         let wheel_key = slot.map(|s| {
@@ -361,7 +287,7 @@ mod tests {
 
     #[test]
     fn fifo_at_equal_timestamps() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         for i in 0..10 {
             q.push(t(500), i);
         }
@@ -373,7 +299,7 @@ mod tests {
 
     #[test]
     fn orders_across_levels() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         q.push(t(1_000_000_000), "far");
         q.push(t(3), "near");
         q.push(t(70_000), "mid");
@@ -384,7 +310,7 @@ mod tests {
 
     #[test]
     fn pop_before_respects_deadline() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         q.push(t(100), 1);
         q.push(t(200), 2);
         assert_eq!(q.pop_before(t(150)), Some((t(100), 1)));
@@ -395,7 +321,7 @@ mod tests {
 
     #[test]
     fn push_behind_elapsed_still_pops_in_heap_order() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         q.push(t(1_000_000), 1);
         // Cascading a failed bounded pop may advance the wheel ahead of
         // the caller's clock.
@@ -409,7 +335,7 @@ mod tests {
 
     #[test]
     fn push_during_drain_of_same_nanosecond() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         q.push(t(64), 1);
         q.push(t(64), 2);
         assert_eq!(q.pop(), Some((t(64), 1)));
@@ -422,25 +348,24 @@ mod tests {
 
     #[test]
     fn heap_reference_same_order() {
-        let mut w = EventQueue::wheel();
-        let mut h = EventQueue::heap();
+        let mut w = EventQueue::new();
         let times = [5u64, 5, 900_000_000_000, 64, 65, 64, 0, 1 << 40, 5];
         for (i, &ns) in times.iter().enumerate() {
             w.push(t(ns), i);
-            h.push(t(ns), i);
         }
-        loop {
-            let (a, b) = (w.pop(), h.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
+        // The reference order: by deadline, then push order (a stable
+        // sort of the push indices).
+        let mut expected: Vec<usize> = (0..times.len()).collect();
+        expected.sort_by_key(|&i| times[i]);
+        for i in expected {
+            assert_eq!(w.pop(), Some((t(times[i]), i)));
         }
+        assert!(w.pop().is_none());
     }
 
     #[test]
     fn len_tracks_both_stores() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(t(1000), 1);
         let _ = q.pop_before(t(10));

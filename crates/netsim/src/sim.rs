@@ -168,7 +168,7 @@ impl Kernel {
     fn new() -> Self {
         Kernel {
             now: SimTime::ZERO,
-            queue: EventQueue::wheel(),
+            queue: EventQueue::new(),
             hosts: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
             links: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
             link_index: HashMap::new(), // simlint: allow(hash-collections)
@@ -348,32 +348,7 @@ impl Kernel {
             .unwrap_or_else(|| panic!("no link between h{} and h{}", from.0, to.0));
         let now = self.now;
         let (outcome, physical) = self.links[idx].transmit(now, from, &seg);
-        let mut dropped = None;
-        match outcome {
-            Transmit::Arrives(at) => {
-                self.probe_wire_tx(&seg, physical, at, idx);
-                self.push_arrival(at, to, seg, now, physical, false)
-            }
-            Transmit::Duplicated(at, dup_at) => {
-                self.probe_wire_tx(&seg, physical, at, idx);
-                self.push_arrival(at, to, seg.clone(), now, physical, false);
-                self.push_arrival(dup_at, to, seg, now, physical, true);
-            }
-            // The tracer must see drops too: they are invisible as
-            // arrivals but the paper-style summaries report them.
-            Transmit::Dropped(reason) => {
-                self.trace.observe_drop(now, &seg, reason);
-                dropped = Some(reason);
-            }
-            // Round-robin links deliver via pump events instead.
-            Transmit::Queued(pump_at) => {
-                if let Some(at) = pump_at {
-                    let a_to_b = from != self.links[idx].b;
-                    self.push(at, to, QueuedKind::LinkPump { link: idx, a_to_b });
-                }
-            }
-        }
-        self.telemetry_link(idx, from, dropped);
+        self.wire_outcome(idx, seg, outcome, now, physical);
     }
 
     /// Serve one packet from a round-robin link direction and schedule the
@@ -390,24 +365,52 @@ impl Kernel {
                 QueuedKind::LinkPump { link, a_to_b },
             );
         }
-        let to = p.segment.dst.host;
-        let from = p.segment.src.host;
+        self.wire_outcome(link, p.segment, p.outcome, p.sent, p.physical);
+    }
+
+    /// Act on what `link` decided for one packet handed to it at `sent`,
+    /// whether submitted directly or released by a pump: the one place a
+    /// wire outcome is scheduled and observed (probe wire-tx, arrival
+    /// push, trace drop, telemetry link sample).
+    fn wire_outcome(
+        &mut self,
+        link: usize,
+        seg: Segment,
+        outcome: Transmit,
+        sent: SimTime,
+        physical: usize,
+    ) {
+        let from = seg.src.host;
+        let to = seg.dst.host;
         let mut dropped = None;
-        match p.outcome {
-            Transmit::Arrives(at) => {
-                self.probe_wire_tx(&p.segment, p.physical, at, link);
-                self.push_arrival(at, to, p.segment, p.sent, p.physical, false)
-            }
-            Transmit::Duplicated(at, dup_at) => {
-                self.probe_wire_tx(&p.segment, p.physical, at, link);
-                self.push_arrival(at, to, p.segment.clone(), p.sent, p.physical, false);
-                self.push_arrival(dup_at, to, p.segment, p.sent, p.physical, true);
-            }
+        let arrival = match outcome {
+            Transmit::Arrives(at) => Some((at, None)),
+            Transmit::Duplicated(at, dup_at) => Some((at, Some(dup_at))),
+            // The tracer must see drops too: they are invisible as
+            // arrivals but the paper-style summaries report them.
             Transmit::Dropped(reason) => {
-                self.trace.observe_drop(now, &p.segment, reason);
+                self.trace.observe_drop(self.now, &seg, reason);
                 dropped = Some(reason);
+                None
             }
-            Transmit::Queued(_) => unreachable!("pump never re-queues"),
+            // Round-robin links deliver via pump events instead.
+            Transmit::Queued(pump_at) => {
+                if let Some(at) = pump_at {
+                    let a_to_b = from != self.links[link].b;
+                    self.push(at, to, QueuedKind::LinkPump { link, a_to_b });
+                }
+                None
+            }
+        };
+        if let Some((at, dup_at)) = arrival {
+            self.probe_wire_tx(&seg, physical, at, link);
+            match dup_at {
+                Some(dup_at) => {
+                    self.push_arrival(at, to, seg.clone(), sent, physical, false);
+                    self.push_arrival(dup_at, to, seg, sent, physical, true);
+                }
+                None => self.push_arrival(at, to, seg, sent, physical, false),
+            }
         }
         self.telemetry_link(link, from, dropped);
     }
@@ -482,20 +485,69 @@ impl Kernel {
         }
     }
 
-    /// Record a newly created socket in the open-socket accounting.
-    fn count_socket_open(&mut self, host: HostId) {
+    /// Run one step of `sock`'s TCB against a pooled [`Effects`] scratch
+    /// and apply what it produced: the one place an existing TCB is
+    /// driven (arrivals, timers and every socket call).
+    fn tcb_step<R>(
+        &mut self,
+        sock: SocketId,
+        step: impl FnOnce(&mut Tcb, SimTime, &mut Effects) -> R,
+    ) -> R {
+        let mut fx = self.take_fx();
+        let now = self.now;
+        let out = step(self.sock(sock), now, &mut fx);
+        self.apply_effects(sock.host, sock.slot, &mut fx);
+        self.recycle_fx(fx);
+        let h = &self.hosts[sock.host.0 as usize];
+        debug_assert_eq!(h.open_now, h.open_sockets());
+        out
+    }
+
+    /// Install a TCB that `open` builds (an active or passive open): the
+    /// one place a socket is created. Enables and records the probe
+    /// (`event` is `ConnOpen` or `ConnAccepted`), claims the demux entry,
+    /// counts the socket and its open-count peak, then applies the
+    /// opening effects.
+    fn open_socket(
+        &mut self,
+        host: HostId,
+        local: SockAddr,
+        remote: SockAddr,
+        event: ProbeEventKind,
+        open: impl FnOnce(TcpConfig, SimTime, &mut Effects) -> Tcb,
+    ) -> SocketId {
+        let cfg = self.host(host).tcp_config.clone();
+        let mut fx = self.take_fx();
+        let now = self.now;
+        let mut tcb = open(cfg, now, &mut fx);
+        if self.probe.enabled() {
+            tcb.set_probe_enabled(true);
+            self.probe.record(ProbeRecord {
+                at: now,
+                host,
+                local,
+                remote,
+                kind: event,
+            });
+        }
         let h = self.host(host);
+        let slot = h.sockets.len() as u32;
+        h.sockets.push(tcb);
+        let prev = h.demux.insert((local.port, remote), slot);
+        debug_assert!(
+            prev.is_none(),
+            "open clobbered live demux entry ({}, {remote:?})",
+            local.port
+        );
+        h.stats.sockets_used += 1;
         h.open_flags.push(true);
         h.open_now += 1;
         debug_assert_eq!(h.open_flags.len(), h.sockets.len());
-    }
-
-    fn update_peak(&mut self, host: HostId) {
-        let h = self.host(host);
-        debug_assert_eq!(h.open_now, h.open_sockets());
-        if h.open_now > h.stats.max_simultaneous {
-            h.stats.max_simultaneous = h.open_now;
-        }
+        // Only an open raises the count, so the peak is recorded here.
+        h.stats.max_simultaneous = h.stats.max_simultaneous.max(h.open_now);
+        self.apply_effects(host, slot, &mut fx);
+        self.recycle_fx(fx);
+        SocketId { host, slot }
     }
 
     fn handle_arrival(
@@ -508,21 +560,14 @@ impl Kernel {
     ) {
         // Borrow-only capture: in stats-only mode this is a pure
         // accumulation, with no per-packet clone or allocation.
-        if dup {
-            self.trace.observe_dup(sent, self.now, &seg, physical);
-        } else {
-            self.trace.observe(sent, self.now, &seg, physical);
-        }
+        self.trace.observe(sent, self.now, &seg, physical, dup);
 
         let key = (seg.dst.port, seg.src);
         let h = &self.hosts[host.0 as usize];
         if let Some(&slot) = h.demux.get(&key) {
-            let mut fx = self.take_fx();
-            let now = self.now;
-            self.host(host).sockets[slot as usize].on_segment(now, &seg, &mut fx);
-            self.apply_effects(host, slot, &mut fx);
-            self.recycle_fx(fx);
-            self.update_peak(host);
+            self.tcb_step(SocketId { host, slot }, |tcb, now, fx| {
+                tcb.on_segment(now, &seg, fx)
+            });
             return;
         }
 
@@ -543,35 +588,13 @@ impl Kernel {
                 }
                 let local = SockAddr::new(host, seg.dst.port);
                 let remote = seg.src;
-                let cfg = h.tcp_config.clone();
-                let mut fx = self.take_fx();
-                let now = self.now;
-                let mut tcb = Tcb::open_passive(local, remote, cfg, &seg, now, &mut fx);
-                if self.probe.enabled() {
-                    tcb.set_probe_enabled(true);
-                    self.probe.record(ProbeRecord {
-                        at: now,
-                        host,
-                        local,
-                        remote,
-                        kind: ProbeEventKind::ConnAccepted,
-                    });
-                }
-                let h = self.host(host);
-                let slot = h.sockets.len() as u32;
-                h.sockets.push(tcb);
-                let prev = h.demux.insert((local.port, remote), slot);
-                debug_assert!(
-                    prev.is_none(),
-                    "passive open clobbered live demux entry ({}, {:?})",
-                    local.port,
-                    remote
+                self.open_socket(
+                    host,
+                    local,
+                    remote,
+                    ProbeEventKind::ConnAccepted,
+                    |cfg, now, fx| Tcb::open_passive(local, remote, cfg, &seg, now, fx),
                 );
-                h.stats.sockets_used += 1;
-                self.count_socket_open(host);
-                self.apply_effects(host, slot, &mut fx);
-                self.recycle_fx(fx);
-                self.update_peak(host);
                 return;
             }
         }
@@ -585,11 +608,9 @@ impl Kernel {
     }
 
     fn handle_tcp_timer(&mut self, host: HostId, slot: u32, kind: TimerKind, epoch: u64) {
-        let mut fx = self.take_fx();
-        let now = self.now;
-        self.host(host).sockets[slot as usize].on_timer(now, kind, epoch, &mut fx);
-        self.apply_effects(host, slot, &mut fx);
-        self.recycle_fx(fx);
+        self.tcb_step(SocketId { host, slot }, |tcb, now, fx| {
+            tcb.on_timer(now, kind, epoch, fx)
+        });
     }
 
     // --- socket syscalls used by Ctx -----------------------------------
@@ -605,7 +626,6 @@ impl Kernel {
     }
 
     fn connect(&mut self, host: HostId, remote: SockAddr) -> SocketId {
-        let cfg = self.host(host).tcp_config.clone();
         let h = self.host(host);
         // Skip ports whose (port, remote) 4-tuple is still claimed by a
         // live socket — a previous connection to the same peer may linger
@@ -622,33 +642,13 @@ impl Kernel {
         }
         h.next_ephemeral = Self::next_ephemeral_after(port);
         let local = SockAddr::new(host, port);
-        let mut fx = self.take_fx();
-        let now = self.now;
-        let mut tcb = Tcb::open_active(local, remote, cfg, now, &mut fx);
-        if self.probe.enabled() {
-            tcb.set_probe_enabled(true);
-            self.probe.record(ProbeRecord {
-                at: now,
-                host,
-                local,
-                remote,
-                kind: ProbeEventKind::ConnOpen,
-            });
-        }
-        let h = self.host(host);
-        let slot = h.sockets.len() as u32;
-        h.sockets.push(tcb);
-        let prev = h.demux.insert((port, remote), slot);
-        debug_assert!(
-            prev.is_none(),
-            "active open clobbered live demux entry ({port}, {remote:?})"
-        );
-        h.stats.sockets_used += 1;
-        self.count_socket_open(host);
-        self.apply_effects(host, slot, &mut fx);
-        self.recycle_fx(fx);
-        self.update_peak(host);
-        SocketId { host, slot }
+        self.open_socket(
+            host,
+            local,
+            remote,
+            ProbeEventKind::ConnOpen,
+            |cfg, now, fx| Tcb::open_active(local, remote, cfg, now, fx),
+        )
     }
 
     fn listen(&mut self, host: HostId, port: u16, backlog: Option<u32>) {
@@ -697,21 +697,14 @@ impl<'a> Ctx<'a> {
     /// by the socket send buffer).
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> usize {
         debug_assert_eq!(sock.host, self.host, "cannot use another host's socket");
-        let mut fx = self.kernel.take_fx();
-        let now = self.kernel.now;
-        let n = self.kernel.sock(sock).app_send(now, data, &mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
-        n
+        self.kernel
+            .tcb_step(sock, |tcb, now, fx| tcb.app_send(now, data, fx))
     }
 
     /// Read up to `max` buffered bytes.
     pub fn recv(&mut self, sock: SocketId, max: usize) -> Bytes {
-        let mut fx = self.kernel.take_fx();
-        let data = self.kernel.sock(sock).app_recv(max, &mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
-        data
+        self.kernel
+            .tcb_step(sock, |tcb, _, fx| tcb.app_recv(max, fx))
     }
 
     /// Bytes currently buffered for reading.
@@ -721,32 +714,20 @@ impl<'a> Ctx<'a> {
 
     /// Half-close the sending direction (graceful FIN after queued data).
     pub fn shutdown_write(&mut self, sock: SocketId) {
-        let mut fx = self.kernel.take_fx();
-        let now = self.kernel.now;
-        self.kernel.sock(sock).app_shutdown_write(now, &mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
-        self.kernel.update_peak(sock.host);
+        self.kernel
+            .tcb_step(sock, |tcb, now, fx| tcb.app_shutdown_write(now, fx));
     }
 
     /// Full close: also declares the application will never read again, so
     /// late-arriving data triggers a RST (the naive-close hazard).
     pub fn close(&mut self, sock: SocketId) {
-        let mut fx = self.kernel.take_fx();
-        let now = self.kernel.now;
-        self.kernel.sock(sock).app_close(now, &mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
-        self.kernel.update_peak(sock.host);
+        self.kernel
+            .tcb_step(sock, |tcb, now, fx| tcb.app_close(now, fx));
     }
 
     /// Abortive close: RST immediately.
     pub fn abort(&mut self, sock: SocketId) {
-        let mut fx = self.kernel.take_fx();
-        self.kernel.sock(sock).app_abort(&mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
-        self.kernel.update_peak(sock.host);
+        self.kernel.tcb_step(sock, |tcb, _, fx| tcb.app_abort(fx));
     }
 
     /// Set or clear TCP_NODELAY (the Nagle algorithm).
@@ -910,18 +891,6 @@ impl Simulator {
         &self.kernel.trace
     }
 
-    /// Swap the kernel's timer wheel for the reference binary-heap event
-    /// queue (differential testing only — the two pop in identical order
-    /// by contract). Call before any traffic flows; queued events do not
-    /// migrate.
-    pub fn use_reference_queue(&mut self) {
-        assert!(
-            self.kernel.queue.is_empty(),
-            "switch event queues before scheduling any events"
-        );
-        self.kernel.queue = EventQueue::heap();
-    }
-
     /// Select how much of each packet the trace retains. Set this before
     /// traffic flows: packets already observed stay in whatever form the
     /// previous mode kept.
@@ -940,11 +909,6 @@ impl Simulator {
         self.kernel.probe.enable();
     }
 
-    /// Whether the probe flight recorder is collecting.
-    pub fn probe_enabled(&self) -> bool {
-        self.kernel.probe.enabled()
-    }
-
     /// The probe records collected so far (always empty unless
     /// [`Simulator::enable_probe`] was called).
     pub fn probe_records(&self) -> &[ProbeRecord] {
@@ -955,11 +919,6 @@ impl Simulator {
     /// tick. Do this before traffic flows so series cover the whole run.
     pub fn enable_telemetry(&mut self) {
         self.kernel.telemetry.enable();
-    }
-
-    /// Whether the telemetry sink is collecting.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.kernel.telemetry.enabled()
     }
 
     /// The telemetry series collected so far (empty unless

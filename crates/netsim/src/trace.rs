@@ -6,13 +6,16 @@
 //! on the wire, elapsed seconds, and the percentage of bytes that are TCP/IP
 //! header overhead — [`TraceStats`] computes all of these.
 //!
-//! Capture runs in one of two [`TraceMode`]s. [`TraceMode::Full`] keeps every
-//! packet as a [`TraceRecord`] (required for [`Trace::dump`],
-//! [`Trace::xplot`] and [`Trace::time_sequence`]). [`TraceMode::StatsOnly`]
-//! folds each packet into per-host-pair [`TraceStats`] at arrival time and
-//! stores nothing else: no `Segment` clone, no unbounded record vector —
-//! the memory cost is O(host pairs) instead of O(packets), which is what the
-//! batch experiment matrix wants.
+//! Both [`TraceMode`]s fold each packet into one per-host-pair entry at
+//! arrival time: its [`TraceStats`] plus the reorder and retransmission
+//! trackers, so drop, duplicate, reorder and retransmit counts land in
+//! the same fold as the packet counts. [`TraceMode::StatsOnly`] stores
+//! nothing else: no `Segment` clone, no unbounded record vector — the
+//! memory cost is O(host pairs) instead of O(packets), which is what the
+//! batch experiment matrix wants. [`TraceMode::Full`] only adds
+//! retention: every packet as a [`TraceRecord`] (required for
+//! [`Trace::dump`], [`Trace::xplot`] and [`Trace::time_sequence`]) and
+//! every drop as a [`DropRecord`].
 
 use crate::impair::DropReason;
 use crate::packet::{HostId, Segment, SockAddr, TCP_IP_HEADER_BYTES};
@@ -27,7 +30,7 @@ pub enum TraceMode {
     /// Keep every packet as a [`TraceRecord`] (tcpdump-style capture).
     #[default]
     Full,
-    /// Keep only per-host-pair aggregate [`TraceStats`], updated online.
+    /// Keep only the per-host-pair aggregate [`TraceStats`].
     StatsOnly,
 }
 
@@ -57,17 +60,13 @@ pub struct DropRecord {
     pub reason: DropReason,
 }
 
-/// Per-host-pair impairment event counters, maintained online in **both**
-/// trace modes (they cannot be recomputed from arrival records alone).
+/// Everything folded online for one (low, high) host pair.
 #[derive(Debug, Default)]
-struct PairEvents {
-    drops_loss: u64,
-    drops_outage: u64,
-    drops_queue: u64,
-    dup_packets: u64,
-    reordered: u64,
-    retransmitted: u64,
-    /// Latest departure time seen per direction (index 0 = low→high
+struct PairFold {
+    /// The pair's aggregates; `packets_c2s` counts the low→high
+    /// direction.
+    stats: TraceStats,
+    /// Latest departure time seen per direction (index 1 = low→high
     /// host); an arrival whose departure precedes it was reordered.
     last_sent: [Option<SimTime>; 2],
     /// Highest sequence-space end seen per flow; a data segment starting
@@ -76,20 +75,48 @@ struct PairEvents {
     max_seq: HashMap<(SockAddr, SockAddr), u64>,
 }
 
+impl PairFold {
+    /// Online reorder / retransmission detection for a first-copy
+    /// arrival travelling in direction `forward`.
+    fn track(&mut self, sent: SimTime, seg: &Segment, forward: usize) {
+        // Arrivals are observed in arrival order: a packet that departed
+        // before the latest departure already seen arrived out of order.
+        let reordered = match self.last_sent[forward] {
+            Some(prev) if sent < prev => {
+                self.stats.reordered_packets += 1;
+                true
+            }
+            _ => {
+                self.last_sent[forward] = Some(sent);
+                false
+            }
+        };
+        // Sequence-space tracking per flow (SYN/FIN octets included). A
+        // reordered fresh segment also starts below the high-water mark,
+        // so only in-order arrivals count as retransmissions.
+        if seg.seq_space() > 0 {
+            let end = seg.seq_end();
+            let high = self.max_seq.entry((seg.src, seg.dst)).or_insert(0);
+            if !reordered && seg.seq < *high {
+                self.stats.retransmitted_packets += 1;
+            }
+            if end > *high {
+                *high = end;
+            }
+        }
+    }
+}
+
 /// A full capture of a simulation run.
 #[derive(Debug, Default)]
 pub struct Trace {
     mode: TraceMode,
     records: Vec<TraceRecord>,
-    /// Online per-pair aggregates, keyed by the (low, high) host pair;
-    /// `packets_c2s` counts the low→high direction. Only populated in
-    /// [`TraceMode::StatsOnly`].
+    /// The online fold, keyed by the (low, high) host pair; kept in both
+    /// modes.
     // simlint: allow(hash-collections): read per-pair via `stats()`,
     // never iterated.
-    pair_stats: HashMap<(HostId, HostId), TraceStats>,
-    /// Impairment counters per (low, high) host pair, kept in both modes.
-    // simlint: allow(hash-collections): read per-pair, never iterated.
-    net_events: HashMap<(HostId, HostId), PairEvents>,
+    pairs: HashMap<(HostId, HostId), PairFold>,
     /// Dropped packets, retained only in [`TraceMode::Full`].
     dropped: Vec<DropRecord>,
     /// Packets observed regardless of mode.
@@ -121,51 +148,38 @@ impl Trace {
         self.mode = mode;
     }
 
-    /// Observe one packet without taking ownership of it. In
-    /// [`TraceMode::Full`] this clones the segment into a stored
-    /// [`TraceRecord`]; in [`TraceMode::StatsOnly`] it only folds the packet
-    /// into the per-pair aggregates — the hot path the simulator uses.
+    /// Observe one packet without taking ownership of it: fold it into
+    /// its host pair's aggregates and, in [`TraceMode::Full`], clone it
+    /// into a stored [`TraceRecord`]. `dup` marks the second arrival of a
+    /// network-duplicated packet: counted as a normal on-the-wire packet,
+    /// plus a duplication event, and excluded from reorder and
+    /// retransmission detection (the copy is not a TCP-level
+    /// retransmission).
     pub fn observe(
         &mut self,
         sent: SimTime,
         received: SimTime,
         segment: &Segment,
         physical_bytes: usize,
+        dup: bool,
     ) {
         self.observed += 1;
-        self.track_wire(sent, segment, false);
-        match self.mode {
-            TraceMode::Full => self.records.push(TraceRecord {
-                sent,
-                received,
-                segment: segment.clone(),
-                physical_bytes,
-            }),
-            TraceMode::StatsOnly => self.accumulate(sent, received, segment, physical_bytes),
+        let forward = segment.src.host <= segment.dst.host;
+        let pair = self.pair(segment);
+        pair.stats
+            .fold_packet(segment, forward, sent, received, physical_bytes);
+        if dup {
+            pair.stats.dup_packets += 1;
+        } else {
+            pair.track(sent, segment, forward as usize);
         }
-    }
-
-    /// Observe the second arrival of a network-duplicated packet. Counted
-    /// as a normal on-the-wire packet, plus a duplication event; excluded
-    /// from reorder/retransmission detection (the copy is not a TCP-level
-    /// retransmission).
-    pub fn observe_dup(
-        &mut self,
-        sent: SimTime,
-        received: SimTime,
-        segment: &Segment,
-        physical_bytes: usize,
-    ) {
-        self.observed += 1;
-        self.track_wire(sent, segment, true);
-        match self.mode {
-            TraceMode::Full => self.records.push(TraceRecord {
+        if self.mode == TraceMode::Full {
+            self.records.push(TraceRecord {
                 sent,
                 received,
                 segment: segment.clone(),
                 physical_bytes,
-            }),
-            TraceMode::StatsOnly => self.accumulate(sent, received, segment, physical_bytes),
+            });
         }
     }
 
@@ -173,11 +187,11 @@ impl Trace {
     /// per-pair drop counters in both modes; [`TraceMode::Full`]
     /// additionally retains a [`DropRecord`] for [`Trace::dump`].
     pub fn observe_drop(&mut self, at: SimTime, segment: &Segment, reason: DropReason) {
-        let ev = self.pair_events(segment);
+        let stats = &mut self.pair(segment).stats;
         match reason {
-            DropReason::Loss => ev.drops_loss += 1,
-            DropReason::Outage => ev.drops_outage += 1,
-            DropReason::Queue => ev.drops_queue += 1,
+            DropReason::Loss => stats.drops_loss += 1,
+            DropReason::Outage => stats.drops_outage += 1,
+            DropReason::Queue => stats.drops_queue += 1,
         }
         if self.mode == TraceMode::Full {
             self.dropped.push(DropRecord {
@@ -188,86 +202,10 @@ impl Trace {
         }
     }
 
-    fn pair_events(&mut self, seg: &Segment) -> &mut PairEvents {
+    fn pair(&mut self, seg: &Segment) -> &mut PairFold {
         let (from, to) = (seg.src.host, seg.dst.host);
         let key = if from <= to { (from, to) } else { (to, from) };
-        self.net_events.entry(key).or_default()
-    }
-
-    /// Online reorder / retransmission / duplication detection, shared by
-    /// both modes (arrival records alone cannot distinguish a network
-    /// duplicate from a TCP retransmission).
-    fn track_wire(&mut self, sent: SimTime, seg: &Segment, dup: bool) {
-        let forward = (seg.src.host <= seg.dst.host) as usize;
-        let ev = self.pair_events(seg);
-        if dup {
-            ev.dup_packets += 1;
-            return;
-        }
-        // Arrivals are observed in arrival order: a packet that departed
-        // before the latest departure already seen arrived out of order.
-        let reordered = match ev.last_sent[forward] {
-            Some(prev) if sent < prev => {
-                ev.reordered += 1;
-                true
-            }
-            _ => {
-                ev.last_sent[forward] = Some(sent);
-                false
-            }
-        };
-        // Sequence-space tracking per flow (SYN/FIN octets included). A
-        // reordered fresh segment also starts below the high-water mark,
-        // so only in-order arrivals count as retransmissions.
-        if seg.seq_space() > 0 {
-            let end = seg.seq_end();
-            let high = ev.max_seq.entry((seg.src, seg.dst)).or_insert(0);
-            if !reordered && seg.seq < *high {
-                ev.retransmitted += 1;
-            }
-            if end > *high {
-                *high = end;
-            }
-        }
-    }
-
-    /// Append a captured packet (ownership-taking variant of [`observe`],
-    /// kept for tests and external captures).
-    ///
-    /// [`observe`]: Trace::observe
-    pub fn record(&mut self, rec: TraceRecord) {
-        match self.mode {
-            TraceMode::Full => {
-                self.observed += 1;
-                self.track_wire(rec.sent, &rec.segment, false);
-                self.records.push(rec);
-            }
-            TraceMode::StatsOnly => {
-                self.observe(rec.sent, rec.received, &rec.segment, rec.physical_bytes)
-            }
-        }
-    }
-
-    fn accumulate(
-        &mut self,
-        sent: SimTime,
-        received: SimTime,
-        seg: &Segment,
-        physical_bytes: usize,
-    ) {
-        let (from, to) = (seg.src.host, seg.dst.host);
-        let (key, forward) = if from <= to {
-            ((from, to), true)
-        } else {
-            ((to, from), false)
-        };
-        self.pair_stats.entry(key).or_default().fold_packet(
-            seg,
-            forward,
-            sent,
-            received,
-            physical_bytes,
-        );
+        self.pairs.entry(key).or_default()
     }
 
     /// True when nothing has been observed.
@@ -293,62 +231,19 @@ impl Trace {
         &self.dropped
     }
 
-    /// Drop all accumulated contents.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.pair_stats.clear();
-        self.net_events.clear();
-        self.dropped.clear();
-        self.observed = 0;
-    }
-
     /// Statistics over all packets flowing in either direction between the
     /// two hosts, with `client` defining the "client → server" direction.
     /// Works in both modes and produces identical results.
     pub fn stats(&self, client: HostId, server: HostId) -> TraceStats {
-        let mut s = match self.mode {
-            TraceMode::Full => {
-                let mut s = TraceStats::default();
-                for rec in &self.records {
-                    let seg = &rec.segment;
-                    let (from, to) = (seg.src.host, seg.dst.host);
-                    let c2s = if (from, to) == (client, server) {
-                        true
-                    } else if (from, to) == (server, client) {
-                        false
-                    } else {
-                        continue;
-                    };
-                    s.fold_packet(seg, c2s, rec.sent, rec.received, rec.physical_bytes);
-                }
-                s
-            }
-            TraceMode::StatsOnly => {
-                let (key, forward) = if client <= server {
-                    ((client, server), true)
-                } else {
-                    ((server, client), false)
-                };
-                let mut s = self.pair_stats.get(&key).copied().unwrap_or_default();
-                if !forward {
-                    std::mem::swap(&mut s.packets_c2s, &mut s.packets_s2c);
-                    std::mem::swap(&mut s.first_payload_c2s, &mut s.first_payload_s2c);
-                }
-                s
-            }
-        };
-        let key = if client <= server {
-            (client, server)
+        let (key, forward) = if client <= server {
+            ((client, server), true)
         } else {
-            (server, client)
+            ((server, client), false)
         };
-        if let Some(ev) = self.net_events.get(&key) {
-            s.drops_loss = ev.drops_loss;
-            s.drops_outage = ev.drops_outage;
-            s.drops_queue = ev.drops_queue;
-            s.dup_packets = ev.dup_packets;
-            s.reordered_packets = ev.reordered;
-            s.retransmitted_packets = ev.retransmitted;
+        let mut s = self.pairs.get(&key).map(|p| p.stats).unwrap_or_default();
+        if !forward {
+            std::mem::swap(&mut s.packets_c2s, &mut s.packets_s2c);
+            std::mem::swap(&mut s.first_payload_c2s, &mut s.first_payload_s2c);
         }
         s
     }
@@ -536,8 +431,7 @@ impl TraceStats {
     }
 
     /// Fold one packet into the aggregates. `c2s` says whether it travels
-    /// in the client→server direction. Both trace modes funnel through
-    /// this, so their statistics agree by construction.
+    /// in the client→server direction.
     fn fold_packet(
         &mut self,
         seg: &Segment,
@@ -659,12 +553,17 @@ mod tests {
         }
     }
 
+    /// Observe a first-copy arrival of `r`.
+    fn observe(t: &mut Trace, r: &TraceRecord) {
+        t.observe(r.sent, r.received, &r.segment, r.physical_bytes, false);
+    }
+
     #[test]
     fn stats_count_directions() {
         let mut t = Trace::new();
-        t.record(rec(0, 1, TcpFlags::SYN, 0, 0));
-        t.record(rec(1, 0, TcpFlags::SYN_ACK, 0, 10));
-        t.record(rec(0, 1, TcpFlags::ACK, 100, 20));
+        observe(&mut t, &rec(0, 1, TcpFlags::SYN, 0, 0));
+        observe(&mut t, &rec(1, 0, TcpFlags::SYN_ACK, 0, 10));
+        observe(&mut t, &rec(0, 1, TcpFlags::ACK, 100, 20));
         let s = t.stats(HostId(0), HostId(1));
         assert_eq!(s.packets_c2s, 2);
         assert_eq!(s.packets_s2c, 1);
@@ -677,7 +576,7 @@ mod tests {
     #[test]
     fn overhead_percentage() {
         let mut t = Trace::new();
-        t.record(rec(0, 1, TcpFlags::ACK, 360, 0)); // 400 wire bytes, 40 header
+        observe(&mut t, &rec(0, 1, TcpFlags::ACK, 360, 0)); // 400 wire bytes, 40 header
         let s = t.stats(HostId(0), HostId(1));
         assert!((s.overhead_pct() - 10.0).abs() < 1e-9);
     }
@@ -685,8 +584,8 @@ mod tests {
     #[test]
     fn elapsed_spans_first_to_last() {
         let mut t = Trace::new();
-        t.record(rec(0, 1, TcpFlags::ACK, 1, 1_000_000_000));
-        t.record(rec(1, 0, TcpFlags::ACK, 1, 3_000_000_000));
+        observe(&mut t, &rec(0, 1, TcpFlags::ACK, 1, 1_000_000_000));
+        observe(&mut t, &rec(1, 0, TcpFlags::ACK, 1, 3_000_000_000));
         let s = t.stats(HostId(0), HostId(1));
         assert!((s.elapsed_secs() - 2.0000001).abs() < 1e-6);
     }
@@ -694,8 +593,8 @@ mod tests {
     #[test]
     fn other_host_pairs_excluded() {
         let mut t = Trace::new();
-        t.record(rec(0, 1, TcpFlags::ACK, 1, 0));
-        t.record(rec(2, 1, TcpFlags::ACK, 1, 0));
+        observe(&mut t, &rec(0, 1, TcpFlags::ACK, 1, 0));
+        observe(&mut t, &rec(2, 1, TcpFlags::ACK, 1, 0));
         let s = t.stats(HostId(0), HostId(1));
         assert_eq!(s.total_packets(), 1);
     }
@@ -704,7 +603,7 @@ mod tests {
     fn time_sequence_monotone_without_loss() {
         let mut t = Trace::new();
         for (i, len) in [(0u64, 100usize), (1, 200), (2, 300)] {
-            t.record(rec(0, 1, TcpFlags::ACK, len, i * 1000));
+            observe(&mut t, &rec(0, 1, TcpFlags::ACK, len, i * 1000));
         }
         let ts = t.time_sequence(HostId(0)).unwrap();
         assert_eq!(ts.len(), 3);
@@ -716,9 +615,9 @@ mod tests {
         let mut t = Trace::new();
         let mut seg = rec(0, 1, TcpFlags::ACK, 100, 0);
         seg.segment.seq = 50;
-        t.record(seg.clone());
+        observe(&mut t, &seg);
         seg.sent = SimTime::from_nanos(5_000_000);
-        t.record(seg); // identical sequence range: a retransmission
+        observe(&mut t, &seg); // identical sequence range: a retransmission
         let plot = t.xplot(HostId(0), "demo").unwrap();
         assert!(plot.contains("green\n"));
         assert!(plot.contains("red\n"), "{plot}");
@@ -729,9 +628,9 @@ mod tests {
     #[test]
     fn pure_ack_classification() {
         let mut t = Trace::new();
-        t.record(rec(0, 1, TcpFlags::ACK, 0, 0));
-        t.record(rec(0, 1, TcpFlags::ACK, 5, 0));
-        t.record(rec(0, 1, TcpFlags::FIN_ACK, 0, 0));
+        observe(&mut t, &rec(0, 1, TcpFlags::ACK, 0, 0));
+        observe(&mut t, &rec(0, 1, TcpFlags::ACK, 5, 0));
+        observe(&mut t, &rec(0, 1, TcpFlags::FIN_ACK, 0, 0));
         let s = t.stats(HostId(0), HostId(1));
         assert_eq!(s.pure_acks, 1);
         assert_eq!(s.fins, 1);
@@ -754,8 +653,8 @@ mod tests {
         let mut full = Trace::with_mode(TraceMode::Full);
         let mut lean = Trace::with_mode(TraceMode::StatsOnly);
         for r in &traffic {
-            full.record(r.clone());
-            lean.observe(r.sent, r.received, &r.segment, r.physical_bytes);
+            observe(&mut full, r);
+            observe(&mut lean, r);
         }
         assert_eq!(
             full.stats(HostId(0), HostId(1)),
@@ -779,7 +678,7 @@ mod tests {
         for mode in [TraceMode::Full, TraceMode::StatsOnly] {
             let mut t = Trace::with_mode(mode);
             let r = rec(0, 1, TcpFlags::ACK, 100, 0);
-            t.observe(r.sent, r.received, &r.segment, r.physical_bytes);
+            observe(&mut t, &r);
             t.observe_drop(SimTime::from_nanos(5), &r.segment, DropReason::Loss);
             t.observe_drop(SimTime::from_nanos(6), &r.segment, DropReason::Loss);
             t.observe_drop(SimTime::from_nanos(7), &r.segment, DropReason::Outage);
@@ -815,7 +714,7 @@ mod tests {
             b.segment.seq = 10;
             c.segment.seq = 20;
             for r in [&a, &c, &b] {
-                t.observe(r.sent, r.received, &r.segment, r.physical_bytes);
+                observe(&mut t, r);
             }
             let s = t.stats(HostId(0), HostId(1));
             assert_eq!(s.reordered_packets, 1, "mode {mode:?}");
@@ -830,8 +729,8 @@ mod tests {
         let mut again = first.clone();
         again.sent = SimTime::from_nanos(9_000);
         again.received = SimTime::from_nanos(9_100);
-        t.observe(first.sent, first.received, &first.segment, 140);
-        t.observe(again.sent, again.received, &again.segment, 140);
+        t.observe(first.sent, first.received, &first.segment, 140, false);
+        t.observe(again.sent, again.received, &again.segment, 140, false);
         let s = t.stats(HostId(0), HostId(1));
         assert_eq!(s.retransmitted_packets, 1);
         assert_eq!(s.reordered_packets, 0);
@@ -841,12 +740,13 @@ mod tests {
     fn network_duplicates_counted_separately() {
         let mut t = Trace::with_mode(TraceMode::StatsOnly);
         let r = rec(0, 1, TcpFlags::ACK, 100, 0);
-        t.observe(r.sent, r.received, &r.segment, r.physical_bytes);
-        t.observe_dup(
+        observe(&mut t, &r);
+        t.observe(
             r.sent,
             SimTime::from_nanos(500),
             &r.segment,
             r.physical_bytes,
+            true,
         );
         let s = t.stats(HostId(0), HostId(1));
         assert_eq!(s.dup_packets, 1);
@@ -863,14 +763,14 @@ mod tests {
     fn stats_only_rejects_record_backed_renderings() {
         let mut t = Trace::with_mode(TraceMode::StatsOnly);
         let r = rec(0, 1, TcpFlags::ACK, 100, 0);
-        t.observe(r.sent, r.received, &r.segment, r.physical_bytes);
+        observe(&mut t, &r);
         assert_eq!(t.time_sequence(HostId(0)), Err(TraceModeError));
         assert_eq!(t.xplot(HostId(0), "demo"), Err(TraceModeError));
         let msg = TraceModeError.to_string();
         assert!(msg.contains("StatsOnly"), "{msg}");
         // Full mode still succeeds on the same traffic.
         let mut full = Trace::with_mode(TraceMode::Full);
-        full.record(r);
+        observe(&mut full, &r);
         assert!(full.time_sequence(HostId(0)).is_ok());
         assert!(full.xplot(HostId(0), "demo").is_ok());
     }
@@ -887,7 +787,7 @@ mod tests {
                 rec(1, 0, TcpFlags::ACK, 1460, 9_000),
             ];
             for r in &traffic {
-                t.observe(r.sent, r.received, &r.segment, r.physical_bytes);
+                observe(&mut t, r);
             }
             let s = t.stats(HostId(0), HostId(1));
             assert_eq!(s.first_payload_c2s, Some(SimTime::from_nanos(2_100)));
@@ -907,7 +807,7 @@ mod tests {
     #[test]
     fn first_byte_zero_without_payload() {
         let mut t = Trace::new();
-        t.record(rec(0, 1, TcpFlags::SYN, 0, 0));
+        observe(&mut t, &rec(0, 1, TcpFlags::SYN, 0, 0));
         assert_eq!(t.stats(HostId(0), HostId(1)).first_byte_secs(), 0.0);
         assert_eq!(TraceStats::default().first_byte_secs(), 0.0);
     }
@@ -916,13 +816,10 @@ mod tests {
     fn stats_only_retains_nothing_per_packet() {
         let mut t = Trace::with_mode(TraceMode::StatsOnly);
         for i in 0..10_000 {
-            t.record(rec(0, 1, TcpFlags::ACK, 100, i * 10));
+            observe(&mut t, &rec(0, 1, TcpFlags::ACK, 100, i * 10));
         }
         assert_eq!(t.len(), 10_000);
         assert!(t.records().is_empty());
         assert_eq!(t.stats(HostId(0), HostId(1)).packets_c2s, 10_000);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.stats(HostId(0), HostId(1)), TraceStats::default());
     }
 }

@@ -1,54 +1,77 @@
 //! Differential tests for the timer-wheel event queue: every sequence
-//! of operations must produce *exactly* the pop order of the binary-heap
-//! reference implementation — same times, same items, same tie-breaks.
-//! Driven by a deterministic seeded PRNG (the build environment has no
-//! crates.io access, so `proptest` is unavailable).
+//! of operations must produce *exactly* the pop order of an ordering
+//! oracle kept here — a `BTreeMap` keyed by `(at, push sequence)` — same
+//! times, same items, same tie-breaks. Driven by a deterministic seeded
+//! PRNG (the build environment has no crates.io access, so `proptest` is
+//! unavailable).
 
 use netsim::queue::EventQueue;
 use netsim::sim::{App, AppEvent, Ctx};
-use netsim::{LinkConfig, SimTime, Simulator, SockAddr};
+use netsim::{LinkConfig, SimTime, Simulator, SockAddr, TraceMode, TraceStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
-/// Drive a wheel and a heap through the same operations, asserting the
-/// pop streams match step for step.
+/// The queue contract stated directly: earliest deadline first, FIFO
+/// among equal deadlines.
+#[derive(Default)]
+struct Oracle {
+    entries: BTreeMap<(SimTime, u64), u64>,
+    next_seq: u64,
+}
+
+impl Oracle {
+    fn push(&mut self, at: SimTime, item: u64) {
+        self.next_seq += 1;
+        self.entries.insert((at, self.next_seq), item);
+    }
+
+    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
+        let entry = self.entries.first_entry()?;
+        if entry.key().0 > deadline {
+            return None;
+        }
+        let ((at, _), item) = entry.remove_entry();
+        Some((at, item))
+    }
+}
+
+/// Drive the wheel and the oracle through the same operations,
+/// asserting the pop streams match step for step.
 struct Pair {
     wheel: EventQueue<u64>,
-    heap: EventQueue<u64>,
+    oracle: Oracle,
 }
 
 impl Pair {
     fn new() -> Self {
         Pair {
-            wheel: EventQueue::wheel(),
-            heap: EventQueue::heap(),
+            wheel: EventQueue::new(),
+            oracle: Oracle::default(),
         }
     }
 
     fn push(&mut self, at: SimTime, item: u64) {
         self.wheel.push(at, item);
-        self.heap.push(at, item);
-        assert_eq!(self.wheel.len(), self.heap.len());
+        self.oracle.push(at, item);
+        assert_eq!(self.wheel.len(), self.oracle.entries.len());
     }
 
     fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
         let w = self.wheel.pop_before(deadline);
-        let h = self.heap.pop_before(deadline);
-        assert_eq!(w, h, "wheel and heap disagree at deadline {deadline:?}");
-        assert_eq!(self.wheel.len(), self.heap.len());
+        let o = self.oracle.pop_before(deadline);
+        assert_eq!(w, o, "wheel and oracle disagree at deadline {deadline:?}");
+        assert_eq!(self.wheel.len(), self.oracle.entries.len());
         w
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64)> {
-        let w = self.wheel.pop();
-        let h = self.heap.pop();
-        assert_eq!(w, h, "wheel and heap disagree on pop");
-        w
+        self.pop_before(SimTime::MAX)
     }
 
     fn drain(&mut self) {
         while self.pop().is_some() {}
-        assert!(self.wheel.is_empty() && self.heap.is_empty());
+        assert!(self.wheel.is_empty() && self.oracle.entries.is_empty());
     }
 }
 
@@ -100,8 +123,8 @@ fn equal_timestamp_bursts_pop_fifo() {
     }
     // Then randomized bursts, including repeat bursts at instants used
     // in earlier rounds (a late push at an already-drained-past time):
-    // global order is enforced by the step-for-step heap comparison in
-    // `Pair`.
+    // global order is enforced by the step-for-step oracle comparison
+    // in `Pair`.
     let mut rng = SmallRng::seed_from_u64(0x0007_E002);
     let mut pair = Pair::new();
     let mut now = 0u64;
@@ -204,7 +227,7 @@ fn pushes_behind_the_current_time_keep_heap_order() {
 }
 
 // ---------------------------------------------------------------------
-// Simulator-level differential run
+// Simulator-level pin
 // ---------------------------------------------------------------------
 
 struct Echo {
@@ -280,13 +303,11 @@ impl App for Blaster {
     }
 }
 
-/// Run one echo transfer and return (events processed, client stats
-/// debug, bytes echoed back).
-fn echo_run(reference_queue: bool) -> (u64, String, usize) {
+/// Run one 256 KiB WAN echo transfer and return (events processed,
+/// client/server trace stats, bytes echoed back).
+fn echo_run(mode: TraceMode) -> (u64, TraceStats, usize) {
     let mut sim = Simulator::new();
-    if reference_queue {
-        sim.use_reference_queue();
-    }
+    sim.set_trace_mode(mode);
     let client = sim.add_host("client");
     let server = sim.add_host("server");
     sim.add_link(client, server, LinkConfig::wan());
@@ -308,15 +329,36 @@ fn echo_run(reference_queue: bool) -> (u64, String, usize) {
         }),
     );
     let events = sim.run_until_idle();
-    let stats = format!("{:?}", sim.stats(client, server));
+    let stats = sim.stats(client, server);
     let got = sim.app_mut::<Blaster>(client).unwrap().got;
     (events, stats, got)
 }
 
+/// The echo transfer's event count and trace statistics, pinned: a
+/// change to event order anywhere in the kernel (queue, TCB step, wire
+/// path, trace fold) moves one of them.
 #[test]
-fn simulator_identical_under_wheel_and_reference_heap() {
-    let wheel = echo_run(false);
-    let heap = echo_run(true);
-    assert_eq!(wheel, heap, "wheel and heap queues diverge at sim level");
-    assert_eq!(wheel.2, 256 * 1024, "transfer incomplete");
+fn echo_transfer_events_and_stats_are_pinned() {
+    let pinned = TraceStats {
+        packets_c2s: 208,
+        packets_s2c: 187,
+        bytes: 540_088,
+        physical_bytes: 540_088,
+        header_bytes: 15_800,
+        payload_bytes: 524_288,
+        syns: 2,
+        fins: 2,
+        pure_acks: 31,
+        first: Some(SimTime::ZERO),
+        last: Some(SimTime::from_nanos(1_292_491_200)),
+        first_payload_c2s: Some(SimTime::from_nanos(136_296_000)),
+        first_payload_s2c: Some(SimTime::from_nanos(182_496_000)),
+        ..TraceStats::default()
+    };
+    for mode in [TraceMode::Full, TraceMode::StatsOnly] {
+        let (events, stats, got) = echo_run(mode);
+        assert_eq!(got, 256 * 1024, "transfer incomplete in {mode:?}");
+        assert_eq!(events, 1382, "event count moved in {mode:?}");
+        assert_eq!(stats, pinned, "trace stats moved in {mode:?}");
+    }
 }
