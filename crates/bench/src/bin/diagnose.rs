@@ -14,6 +14,7 @@
 //! Determinism of the attribution is tested in
 //! `crates/core/tests/probe_attribution.rs`.
 
+use httpipe_bench::registry;
 use httpipe_core::experiments::probe::{self, ProbeCell};
 use netsim::Diagnosis;
 
@@ -88,7 +89,7 @@ fn print_cell(cell: &ProbeCell) {
 
 fn main() {
     let cells = probe::run_points(&probe::canonical_grid());
-    println!("{}", probe::report(&cells).render());
+    print!("{}", registry::diagnose_text(&cells));
     for cell in &cells {
         print_cell(cell);
         let path = format!("PROBE_{}.json", cell.point.id());

@@ -1,291 +1,30 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro                 # everything
+//! repro                 # everything, in EXPERIMENTS.md order
 //! repro table3 table8   # specific tables
 //! repro list            # available experiment ids
 //! ```
 
-use httpipe_core::env::NetEnv;
-use httpipe_core::experiments::{
-    ablations, browsers, cc, closemgmt, compression, content, mux, nagle, probe, protocol_matrix,
-    ranges, robustness, scale, summary, verbosity,
-};
-use httpserver::ServerKind;
-
-struct Experiment {
-    id: &'static str,
-    what: &'static str,
-    run: fn(),
-}
-
-fn experiments() -> Vec<Experiment> {
-    vec![
-        Experiment {
-            id: "table1",
-            what: "Tested network environments",
-            run: || println!("{}", protocol_matrix::table1().render()),
-        },
-        Experiment {
-            id: "table3",
-            what: "Initial (untuned) LAN cache revalidation, Jigsaw",
-            run: || println!("{}", protocol_matrix::table3().render()),
-        },
-        Experiment {
-            id: "table4",
-            what: "Jigsaw, LAN: protocol matrix",
-            run: || {
-                println!(
-                    "{}",
-                    protocol_matrix::matrix_table(NetEnv::Lan, ServerKind::Jigsaw).render()
-                )
-            },
-        },
-        Experiment {
-            id: "table5",
-            what: "Apache, LAN: protocol matrix",
-            run: || {
-                println!(
-                    "{}",
-                    protocol_matrix::matrix_table(NetEnv::Lan, ServerKind::Apache).render()
-                )
-            },
-        },
-        Experiment {
-            id: "table6",
-            what: "Jigsaw, WAN: protocol matrix",
-            run: || {
-                println!(
-                    "{}",
-                    protocol_matrix::matrix_table(NetEnv::Wan, ServerKind::Jigsaw).render()
-                )
-            },
-        },
-        Experiment {
-            id: "table7",
-            what: "Apache, WAN: protocol matrix",
-            run: || {
-                println!(
-                    "{}",
-                    protocol_matrix::matrix_table(NetEnv::Wan, ServerKind::Apache).render()
-                )
-            },
-        },
-        Experiment {
-            id: "table8",
-            what: "Jigsaw, PPP: protocol matrix",
-            run: || {
-                println!(
-                    "{}",
-                    protocol_matrix::matrix_table(NetEnv::Ppp, ServerKind::Jigsaw).render()
-                )
-            },
-        },
-        Experiment {
-            id: "table9",
-            what: "Apache, PPP: protocol matrix",
-            run: || {
-                println!(
-                    "{}",
-                    protocol_matrix::matrix_table(NetEnv::Ppp, ServerKind::Apache).render()
-                )
-            },
-        },
-        Experiment {
-            id: "table10",
-            what: "Jigsaw, PPP: Navigator vs Internet Explorer",
-            run: || println!("{}", browsers::browser_table(ServerKind::Jigsaw).render()),
-        },
-        Experiment {
-            id: "table11",
-            what: "Apache, PPP: Navigator vs Internet Explorer",
-            run: || println!("{}", browsers::browser_table(ServerKind::Apache).render()),
-        },
-        Experiment {
-            id: "modem",
-            what: "Deflate vs V.42bis modem compression (single HTML GET)",
-            run: || println!("{}", compression::modem_table().render()),
-        },
-        Experiment {
-            id: "deflate",
-            what: "HTML transport compression and the tag-case effect",
-            run: || println!("{}", compression::deflate_table().render()),
-        },
-        Experiment {
-            id: "figure1",
-            what: "The 'solutions' GIF vs its HTML+CSS replacement",
-            run: || {
-                let f = content::figure1();
-                println!("=== Figure 1 - 'solutions' banner ===");
-                println!("GIF bytes:              {}", f.gif_bytes);
-                println!("CSS rule:               {}", f.css_rule);
-                println!("Replacement markup:     {}", f.markup);
-                println!("HTML+CSS bytes:         {}", f.replacement_bytes);
-                println!(
-                    "Reduction factor:       {:.1}x\n",
-                    f.gif_bytes as f64 / f.replacement_bytes as f64
-                );
-            },
-        },
-        Experiment {
-            id: "css",
-            what: "CSS replacement analysis + end-to-end browse comparison",
-            run: || {
-                println!("{}", content::css_analysis_table().render());
-                println!("{}", content::css_browse_table().render());
-            },
-        },
-        Experiment {
-            id: "png",
-            what: "GIF->PNG and GIF->MNG conversion study",
-            run: || println!("{}", content::conversion_table().render()),
-        },
-        Experiment {
-            id: "nagle",
-            what: "Nagle algorithm x write buffering interaction",
-            run: || {
-                println!("{}", nagle::nagle_table(NetEnv::Lan).render());
-                println!("{}", nagle::nagle_table(NetEnv::Ppp).render());
-            },
-        },
-        Experiment {
-            id: "closerst",
-            what: "Connection-management: naive close vs independent half-close",
-            run: || println!("{}", closemgmt::close_table(NetEnv::Ppp, 5).render()),
-        },
-        Experiment {
-            id: "summary",
-            what: "Back-of-envelope: all techniques vs HTTP/1.0 over a modem",
-            run: || println!("{}", summary::summary_table().render()),
-        },
-        Experiment {
-            id: "ranges",
-            what: "Poor man's multiplexing: leading-range revisit of a revised site",
-            run: || {
-                println!("{}", ranges::range_table(NetEnv::Ppp).render());
-            },
-        },
-        Experiment {
-            id: "ablations",
-            what: "Design-choice sweeps: buffer threshold, flush timer, app flush, initial cwnd",
-            run: || {
-                for t in ablations::ablation_tables() {
-                    println!("{}", t.render());
-                }
-            },
-        },
-        Experiment {
-            id: "verbosity",
-            what: "HTTP request redundancy and the compact-encoding headroom",
-            run: || println!("{}", verbosity::verbosity_table().render()),
-        },
-        Experiment {
-            id: "robustness",
-            what: "Protocol matrix under packet loss + jitter/reordering study",
-            run: || {
-                let cells = robustness::run_points(&robustness::full_grid());
-                for t in robustness::report(&cells) {
-                    println!("{}", t.render());
-                }
-                println!(
-                    "{}",
-                    robustness::jitter_table(&robustness::jitter_study()).render()
-                );
-            },
-        },
-        Experiment {
-            id: "scale",
-            what:
-                "Many-client fleets on one bottleneck: fairness, peak server connections, SYN drops",
-            run: || {
-                let cells = scale::run_points(&scale::full_grid());
-                for t in scale::report(&cells) {
-                    println!("{}", t.render());
-                }
-            },
-        },
-        Experiment {
-            id: "mux",
-            what: "Multiplexing + server push: matrix, loss shared fate, fleets, stall probe",
-            run: || {
-                for env in NetEnv::ALL {
-                    for server in [ServerKind::Jigsaw, ServerKind::Apache] {
-                        println!("{}", mux::matrix_table(env, server).render());
-                    }
-                }
-                let cells = robustness::run_points(&mux::loss_grid());
-                for t in robustness::report(&cells) {
-                    println!("{}", t.render());
-                }
-                for env in NetEnv::ALL {
-                    println!("{}", mux::shared_fate_table(&cells, env).render());
-                }
-                let fleets = scale::run_points(&mux::fleet_grid());
-                for t in scale::report(&fleets) {
-                    println!("{}", t.render());
-                }
-                let probes = probe::run_points(&mux::probe_grid());
-                println!("{}", probe::report(&probes).render());
-            },
-        },
-        Experiment {
-            id: "cc",
-            what: "Loss grid under Reno/NewReno/SACK/CUBIC recovery + per-variant stall probe",
-            run: || {
-                let cells = robustness::run_points(&cc::full_grid());
-                for t in cc::report(&cells) {
-                    println!("{}", t.render());
-                }
-                println!("{}", cc::probe_table(&cc::probe_rows()).render());
-            },
-        },
-        Experiment {
-            id: "xplot",
-            what: "Write xplot-format time-sequence graphs (the paper's debugging tool)",
-            run: || {
-                use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
-                for (name, setup) in [
-                    ("http10", ProtocolSetup::Http10),
-                    ("pipelined", ProtocolSetup::Http11Pipelined),
-                ] {
-                    let mut spec =
-                        matrix_spec(NetEnv::Wan, ServerKind::Apache, setup, Scenario::FirstTime);
-                    // The matrix defaults to stats-only tracing; xplot
-                    // needs the per-packet records.
-                    spec.trace_mode = netsim::TraceMode::Full;
-                    let out = run_spec(spec);
-                    let plot = out
-                        .sim
-                        .trace()
-                        .xplot(out.server_host, &format!("{name} first-time WAN"))
-                        .expect("trace captured in Full mode");
-                    let path = format!("xplot_{name}.xpl");
-                    std::fs::write(&path, plot).expect("write xplot file");
-                    println!("wrote {path} (server->client time-sequence)");
-                }
-            },
-        },
-    ]
-}
+use httpipe_bench::registry::{Experiment, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = experiments();
 
     if args.iter().any(|a| a == "list") {
         println!("available experiments:");
-        for e in &all {
+        for e in EXPERIMENTS {
             println!("  {:<10} {}", e.id, e.what);
         }
         return;
     }
 
     let selected: Vec<&Experiment> = if args.is_empty() {
-        all.iter().collect()
+        EXPERIMENTS.iter().collect()
     } else {
         let mut v = Vec::new();
         for arg in &args {
-            match all.iter().find(|e| e.id == *arg) {
+            match EXPERIMENTS.iter().find(|e| e.id == *arg) {
                 Some(e) => v.push(e),
                 None => {
                     eprintln!("unknown experiment '{arg}' (try: repro list)");
@@ -297,6 +36,6 @@ fn main() {
     };
 
     for e in selected {
-        (e.run)();
+        print!("{}", (e.text)());
     }
 }

@@ -20,13 +20,12 @@
 //! cargo run --release -p httpipe-bench --bin telemetry -- --bless
 //! ```
 
+use httpipe_bench::registry;
 use httpipe_core::experiments::telemetry::{self, SmokeArtifacts};
 use std::path::{Path, PathBuf};
 
 fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("goldens")
-        .join("telemetry")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens/telemetry")
 }
 
 fn bless() {
@@ -46,8 +45,7 @@ fn bless() {
 }
 
 fn full() {
-    println!("{}", telemetry::report(256));
-    println!("{}", telemetry::volume_table().render());
+    print!("{}", registry::telemetry_text());
 
     let SmokeArtifacts { json, csv, pcapng } = telemetry::smoke_artifacts();
     std::fs::write("TELEMETRY_wan_rto.json", json.as_bytes()).expect("write json");

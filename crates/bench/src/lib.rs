@@ -1,13 +1,15 @@
-//! Shared helpers for the benchmark targets. The entry points are the
-//! plain wall-clock benches in `benches/` (timed by [`bench_fn`], a
-//! minimal in-tree harness with no external dependency), the `repro`
-//! binary, which regenerates every table and figure of the paper, and
-//! `experiments_md`, which writes EXPERIMENTS.md.
+//! Benchmarks and table reproduction for the SIGCOMM '97 HTTP/1.1 study.
+//!
+//! [`registry`] lists every reproduced table and figure once, in
+//! EXPERIMENTS.md order; the `repro` binary prints an entry's text and
+//! `experiments_md` writes EXPERIMENTS.md from the entries' sections. The
+//! plain wall-clock benches in `benches/` are timed by [`bench_fn`], a
+//! minimal in-tree harness with no external dependency.
 
 use std::time::{Duration, Instant};
 
-/// Crate marker; see `benches/` and `src/bin/repro.rs`.
-pub const ABOUT: &str = "benchmarks and table reproduction for the SIGCOMM '97 HTTP/1.1 study";
+pub mod registry;
+mod sections;
 
 /// One timed benchmark result.
 #[derive(Debug, Clone, Copy)]

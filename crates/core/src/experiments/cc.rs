@@ -17,7 +17,6 @@
 //! part of pipelining's per-lost-packet penalty relative to Reno at 2%+
 //! loss — the gated ordering in `crates/core/tests/cc_gate.rs`.
 
-use super::{fnv1a, FNV_OFFSET};
 use crate::env::NetEnv;
 use crate::experiments::robustness::{self, LossShape, RobustnessCell, RobustnessPoint};
 use crate::harness::{matrix_spec, run_cells_map, run_spec, ProtocolSetup, Scenario};
@@ -192,20 +191,6 @@ pub fn probe_table(rows: &[(CcVariant, f64, netsim::ProbeAnalysis)]) -> Table {
         );
     }
     t
-}
-
-// ---------------------------------------------------------------------
-// Digest
-// ---------------------------------------------------------------------
-
-/// A stable digest over rendered tables — two runs of the same grid must
-/// agree bit-for-bit, regardless of thread count.
-pub fn report_digest(tables: &[Table]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for t in tables {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@
 //!   argument the robustness family makes for pipelining, sharpened by
 //!   push putting even more bytes behind the same loss.
 
-use super::{fnv1a, FNV_OFFSET};
 use crate::env::NetEnv;
 use crate::experiments::robustness::{self, LossShape, RobustnessCell, RobustnessPoint};
 use crate::experiments::{probe, scale};
@@ -256,16 +255,6 @@ pub fn reduced_report() -> Vec<Table> {
     tables.push(shared_fate_table(&loss_cells, NetEnv::Wan));
     tables.push(probe::report(&probe::run_points(&reduced_probe_grid())));
     tables
-}
-
-/// A stable digest over rendered tables — two runs of the same grid must
-/// agree bit-for-bit, regardless of thread count.
-pub fn report_digest(tables: &[Table]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for t in tables {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
 }
 
 #[cfg(test)]

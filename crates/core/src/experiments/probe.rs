@@ -10,10 +10,10 @@
 //! to the measured elapsed time, plus the typed [`netsim::Diagnosis`]
 //! pathologies.
 
-use super::{fnv1a, FNV_OFFSET};
+use super::fnv1a;
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells_map, run_spec, ProtocolSetup, Scenario};
-use crate::result::Table;
+use crate::result::{tables_digest, Table};
 use httpserver::ServerKind;
 use netsim::ProbeAnalysis;
 
@@ -105,31 +105,17 @@ pub fn reduced_grid() -> Vec<ProbePoint> {
 
 /// Run a set of probe points on the work-stealing cell pool.
 pub fn run_points(points: &[ProbePoint]) -> Vec<ProbeCell> {
-    run_points_threaded(points, None)
-}
-
-/// [`run_points`] with an explicit thread count (`None` = automatic;
-/// the determinism tests compare serial and parallel output).
-pub fn run_points_threaded(points: &[ProbePoint], threads: Option<usize>) -> Vec<ProbeCell> {
-    let specs = points.iter().map(|p| p.spec()).collect();
-    let outputs = run_cells_map(specs, threads, |spec| {
-        let out = run_spec(spec);
-        (out.cell.secs, out.probe.expect("probe was enabled"))
-    });
-    points
-        .iter()
-        .zip(outputs)
-        .map(|(&point, (secs, analysis))| ProbeCell {
-            point,
-            secs,
-            analysis,
-        })
-        .collect()
+    run_cells_map(points.to_vec(), None, run_point)
 }
 
 /// Run one probe point.
 pub fn run_point(point: ProbePoint) -> ProbeCell {
-    run_points(&[point]).remove(0)
+    let out = run_spec(point.spec());
+    ProbeCell {
+        point,
+        secs: out.cell.secs,
+        analysis: out.probe.expect("probe was enabled"),
+    }
 }
 
 /// Render the "where the time goes" table: one row per cell, one column
@@ -168,8 +154,7 @@ pub fn report(cells: &[ProbeCell]) -> Table {
 /// `PROBE_*.json` document — two runs of the same grid must agree
 /// bit-for-bit, regardless of thread count.
 pub fn report_digest(cells: &[ProbeCell]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    hash = fnv1a(report(cells).render().as_bytes(), hash);
+    let mut hash = tables_digest(&[report(cells)]);
     for c in cells {
         hash = fnv1a(c.analysis.render_json(&c.point.id()).as_bytes(), hash);
     }

@@ -277,16 +277,6 @@ pub fn report(cells: &[RobustnessCell]) -> Vec<Table> {
     tables
 }
 
-/// A stable digest of a rendered robustness report — two runs of the
-/// same grid must agree bit-for-bit, regardless of thread count.
-pub fn report_digest(cells: &[RobustnessCell]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for t in report(cells) {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------
 // Jitter / reordering study
 // ---------------------------------------------------------------------

@@ -18,7 +18,6 @@
 //! and its row must reproduce the unimpaired protocol-matrix numbers
 //! exactly.
 
-use super::{fnv1a, FNV_OFFSET};
 use crate::env::NetEnv;
 use crate::harness::{microscape_store, run_fleet, FleetOutput, FleetSpec, ProtocolSetup};
 use crate::result::Table;
@@ -199,15 +198,7 @@ pub fn reduced_grid() -> Vec<ScalePoint> {
 /// PPP versus N=1 LAN), so they fan out on the same work-stealing pool
 /// the cell runner uses, one fleet per worker.
 pub fn run_points(points: &[ScalePoint]) -> Vec<ScaleCell> {
-    run_points_threaded(points, None)
-}
-
-/// [`run_points`] with an explicit thread count (`None` = automatic;
-/// `Some(1)` forces a serial loop — the differential tests compare the
-/// two).
-pub fn run_points_threaded(points: &[ScalePoint], threads: Option<usize>) -> Vec<ScaleCell> {
-    let threads = crate::harness::worker_threads(points.len()).min(threads.unwrap_or(usize::MAX));
-    crate::harness::run_cells_map(points.to_vec(), Some(threads), run_point)
+    crate::harness::run_cells_map(points.to_vec(), None, run_point)
 }
 
 /// Render one table per environment present in `cells`, in grid order.
@@ -245,16 +236,6 @@ pub fn report(cells: &[ScaleCell]) -> Vec<Table> {
         tables.push(t);
     }
     tables
-}
-
-/// A stable digest of a rendered scale report — two runs of the same
-/// grid must agree bit-for-bit, regardless of thread count.
-pub fn report_digest(cells: &[ScaleCell]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for t in report(cells) {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
 }
 
 #[cfg(test)]

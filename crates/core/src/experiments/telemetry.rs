@@ -21,7 +21,7 @@
 use crate::env::NetEnv;
 use crate::harness::{run_fleet, run_spec, ProtocolSetup, Scenario};
 use crate::result::Table;
-use netsim::telemetry::{Point, SeriesData, TelemetrySink};
+use netsim::telemetry::{Point, SeriesData, TelemetrySink, DEFAULT_TICK};
 use netsim::{CcVariant, HostId, Metric, Scope};
 
 use super::robustness::{LossShape, RobustnessPoint};
@@ -111,7 +111,7 @@ pub fn syn_burst_timeline(n_clients: usize) -> String {
     let sink = out.sim.telemetry();
     let server = out.server_host;
     let ticks = last_tick(sink) + 1;
-    let tick_ms = sink.tick_ns() / 1_000_000;
+    let tick_ms = DEFAULT_TICK.as_nanos() / 1_000_000;
 
     let mut s = String::new();
     s.push_str(&format!(

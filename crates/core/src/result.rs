@@ -151,6 +151,16 @@ impl Table {
     }
 }
 
+/// A stable digest over rendered tables: FNV-1a over each `render()` in
+/// order. Two runs of the same grid must agree bit-for-bit, regardless of
+/// thread count.
+pub fn tables_digest(tables: &[Table]) -> u64 {
+    use crate::experiments::{fnv1a, FNV_OFFSET};
+    tables
+        .iter()
+        .fold(FNV_OFFSET, |hash, t| fnv1a(t.render().as_bytes(), hash))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

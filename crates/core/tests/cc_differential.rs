@@ -8,6 +8,7 @@
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::{mux, robustness, scale};
 use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
+use httpipe_core::result::tables_digest;
 use httpserver::ServerKind;
 use netsim::{CcVariant, TcpConfig};
 
@@ -30,7 +31,7 @@ const SEED_SCALE_DIGEST: u64 = 0x4dd4_ba02_5900_c56e;
 fn reno_via_trait_reproduces_seed_robustness_digest() {
     let cells = robustness::run_points(&robustness::reduced_grid());
     assert_eq!(
-        robustness::report_digest(&cells),
+        tables_digest(&robustness::report(&cells)),
         SEED_ROBUSTNESS_DIGEST,
         "Reno-through-the-trait changed the robustness grid"
     );
@@ -39,7 +40,7 @@ fn reno_via_trait_reproduces_seed_robustness_digest() {
 #[test]
 fn reno_via_trait_reproduces_seed_mux_digest() {
     assert_eq!(
-        mux::report_digest(&mux::reduced_report()),
+        tables_digest(&mux::reduced_report()),
         SEED_MUX_DIGEST,
         "Reno-through-the-trait changed the mux transports"
     );
@@ -49,7 +50,7 @@ fn reno_via_trait_reproduces_seed_mux_digest() {
 fn reno_via_trait_reproduces_seed_scale_digest() {
     let cells = scale::run_points(&scale::reduced_grid());
     assert_eq!(
-        scale::report_digest(&cells),
+        tables_digest(&scale::report(&cells)),
         SEED_SCALE_DIGEST,
         "Reno-through-the-trait changed the fleet engine"
     );

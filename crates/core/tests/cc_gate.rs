@@ -13,6 +13,7 @@
 use httpipe_core::experiments::cc;
 use httpipe_core::experiments::robustness;
 use httpipe_core::harness::{run_spec_checked, ProtocolSetup};
+use httpipe_core::result::tables_digest;
 use netsim::CcVariant;
 
 fn inflation(cells: &[robustness::RobustnessCell], setup: ProtocolSetup, cc: CcVariant) -> f64 {
@@ -29,7 +30,7 @@ const REDUCED_GRID_DIGEST: u64 = 0xc1b4_e534_0e81_f033;
 fn recovery_ordering_at_two_percent_wan_loss() {
     let cells = robustness::run_points(&cc::reduced_grid());
     assert_eq!(
-        cc::report_digest(&cc::report(&cells)),
+        tables_digest(&cc::report(&cells)),
         REDUCED_GRID_DIGEST,
         "the reduced CC grid's report changed"
     );

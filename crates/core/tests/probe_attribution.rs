@@ -58,9 +58,9 @@ fn buckets_sum_to_elapsed_on_all_44_matrix_cells() {
 #[test]
 fn probe_json_is_deterministic_across_runs_and_threads() {
     let points = probe::reduced_grid();
-    let first = probe::run_points_threaded(&points, Some(1));
-    let second = probe::run_points_threaded(&points, Some(1));
-    let wide = probe::run_points_threaded(&points, Some(8));
+    let first = run_cells_map(points.clone(), Some(1), probe::run_point);
+    let second = run_cells_map(points.clone(), Some(1), probe::run_point);
+    let wide = run_cells_map(points, Some(8), probe::run_point);
     for ((a, b), c) in first.iter().zip(&second).zip(&wide) {
         let ja = a.analysis.render_json(&a.point.id());
         assert_eq!(

@@ -9,6 +9,7 @@ use httpipe_core::experiments::robustness::{
     self, jitter_study, LossShape, RobustnessCell, RobustnessPoint, SETUPS,
 };
 use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
+use httpipe_core::result::tables_digest;
 use httpserver::ServerKind;
 
 /// Two runs of the reduced grid — one serial, one with an 8-thread pool —
@@ -37,8 +38,8 @@ fn reduced_grid_is_deterministic_across_thread_counts() {
             .collect::<Vec<_>>()
     };
     assert_eq!(
-        robustness::report_digest(&serial),
-        robustness::report_digest(&pooled),
+        tables_digest(&robustness::report(&serial)),
+        tables_digest(&robustness::report(&pooled)),
         "serial and 8-thread runs must render identical reports"
     );
     for (a, b) in serial.iter().zip(&pooled) {

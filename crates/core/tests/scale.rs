@@ -8,8 +8,9 @@
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::scale::{self, ScalePoint, N_GRID, SETUPS};
 use httpipe_core::harness::{
-    matrix_spec, run_fleet, run_fleet_checked, run_spec, ProtocolSetup, Scenario,
+    matrix_spec, run_cells_map, run_fleet, run_fleet_checked, run_spec, ProtocolSetup, Scenario,
 };
+use httpipe_core::result::tables_digest;
 use httpserver::ServerKind;
 use netsim::TraceMode;
 
@@ -96,8 +97,8 @@ fn stats_only_and_full_fleet_traces_agree() {
 fn threaded_and_serial_scale_runs_are_identical() {
     let points = scale::grid(&[NetEnv::Lan, NetEnv::Wan], &SETUPS, &[1, 4]);
     assert_eq!(points.len(), 12);
-    let serial = scale::run_points_threaded(&points, Some(1));
-    let pooled = scale::run_points_threaded(&points, Some(8));
+    let serial = run_cells_map(points.clone(), Some(1), scale::run_point);
+    let pooled = run_cells_map(points, Some(8), scale::run_point);
     for (a, b) in serial.iter().zip(&pooled) {
         assert_eq!(a.point, b.point);
         assert_eq!(a.client_secs, b.client_secs, "cell {:?}", a.point);
@@ -106,8 +107,8 @@ fn threaded_and_serial_scale_runs_are_identical() {
         assert_eq!(a.packets, b.packets);
     }
     assert_eq!(
-        scale::report_digest(&serial),
-        scale::report_digest(&pooled),
+        tables_digest(&scale::report(&serial)),
+        tables_digest(&scale::report(&pooled)),
         "serial and 8-thread scale reports must be bit-identical"
     );
 }

@@ -7,6 +7,7 @@
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::{mux, robustness, scale, telemetry};
 use httpipe_core::harness::{matrix_spec, run_fleet, run_spec, ProtocolSetup, Scenario};
+use httpipe_core::result::tables_digest;
 use httpserver::ServerKind;
 use netsim::CcVariant;
 
@@ -96,8 +97,8 @@ fn robustness_report_is_unchanged_by_telemetry() {
     };
     assert_eq!(render(&on), render(&off));
     assert_eq!(
-        robustness::report_digest(&on),
-        robustness::report_digest(&off)
+        tables_digest(&robustness::report(&on)),
+        tables_digest(&robustness::report(&off))
     );
 }
 

@@ -288,9 +288,8 @@ pub fn scope_file(path: &str, lexed: Lexed, known_rules: &[&str]) -> ScopedFile 
     }
 
     // --- Allow markers ----------------------------------------------------
-    // Syntax inside any comment: `simlint: allow(rule)` (legacy spelling
-    // with the old tool name is accepted too). Unknown rule names are
-    // treated as prose and ignored.
+    // Syntax inside any comment: `simlint: allow(rule)`, and only that
+    // spelling. Unknown rule names are treated as prose and ignored.
     let mut allows: Vec<AllowMarker> = Vec::new();
     // Last code line per line number: we need "next code line after L".
     let code_lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
